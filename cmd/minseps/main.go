@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -40,7 +41,9 @@ func main() {
 	fmt.Printf("graph: %d vertices, %d edges\n", g.NumVertices(), g.NumEdges())
 
 	start := time.Now()
-	seps, ok := minsep.AllWithDeadline(g, start.Add(*msBudget))
+	ctx, cancel := context.WithDeadline(context.Background(), start.Add(*msBudget))
+	seps, ok := minsep.AllCtx(ctx, g)
+	cancel()
 	if !ok {
 		fmt.Printf("minimal separators: NOT TERMINATED within %v (≥ %d found)\n", *msBudget, len(seps))
 		os.Exit(2)
@@ -54,7 +57,9 @@ func main() {
 	fmt.Printf("full blocks: %d\n", len(pmc.FullBlocks(g, seps)))
 
 	start = time.Now()
-	pmcs, err := pmc.AllWithDeadline(g, start.Add(*pmcBudget))
+	ctx, cancel = context.WithDeadline(context.Background(), start.Add(*pmcBudget))
+	pmcs, err := pmc.AllCtx(ctx, g)
+	cancel()
 	if err != nil {
 		fmt.Printf("PMCs: NOT TERMINATED within %v\n", *pmcBudget)
 		os.Exit(3)

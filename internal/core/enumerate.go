@@ -75,11 +75,6 @@ type lmEnumerator struct {
 	queue   partitionQueue
 	seq     int
 	workers int // parallel branch solving when > 1
-
-	// pruner, when non-nil, drops branches whose constraint set is
-	// Aut(G)-equivalent to an already-admitted one before their solve
-	// (orbit-reduced enumeration; installed by NewOrbitBackend).
-	pruner *orbitPruner
 }
 
 type partition struct {
@@ -196,20 +191,6 @@ func (e *lmEnumerator) Next() (*Result, bool) {
 		if i+1 < len(fresh) {
 			cc = e.s.extendConstraints(cc, id, true)
 		}
-	}
-	// Orbit mode: drop branches whose constraint set is equivalent, under
-	// an automorphism of G, to one already admitted — their regions are
-	// label-images of regions the admitted branches cover. Runs in the
-	// single-threaded section so admit order (and hence the stream) stays
-	// deterministic.
-	if e.pruner != nil {
-		kept := branches[:0]
-		for _, b := range branches {
-			if e.pruner.admit(b) {
-				kept = append(kept, b)
-			}
-		}
-		branches = kept
 	}
 	results := make([]*Result, len(branches))
 	if e.workers <= 1 || len(branches) <= 1 {

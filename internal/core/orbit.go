@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"encoding/binary"
 	"math"
 	"math/big"
 	"sync"
@@ -17,12 +16,11 @@ import (
 // automorphism group of the input graph. The unreduced stream emits every
 // minimal triangulation individually, so a symmetric input pays for
 // |Aut(G)|-many label-equivalent results per orbit; the orbit backend
-// emits exactly one representative per orbit, stamps it with the orbit
+// emits exactly one representative per orbit and stamps it with the orbit
 // size (so consumers can reconstruct full counts: Σ OrbitSize over the
-// reduced stream equals the unreduced stream length), and — on the
-// monolithic ranked DP — additionally prunes Lawler–Murty branches whose
-// constraint set is Aut(G)-equivalent to one already explored, cutting
-// the constrained solves themselves, not just the emitted results.
+// reduced stream equals the unreduced stream length). The reduction is a
+// pure post-filter on the emitted stream: the inner engine still solves
+// every Lawler–Murty branch.
 //
 // Soundness requires a label-invariant cost (every member of an orbit
 // then has the same cost, so a representative speaks for its orbit and
@@ -44,17 +42,14 @@ type OrbitCounters struct {
 
 	// Representatives counts emitted orbit representatives;
 	// SkippedResults counts stream members suppressed as duplicates of an
-	// already-emitted representative; SkippedBranches counts Lawler–Murty
-	// branches pruned before their constrained solve.
+	// already-emitted representative.
 	Representatives atomic.Uint64
 	SkippedResults  atomic.Uint64
-	SkippedBranches atomic.Uint64
 
-	// InexactResultKeys / InexactBranchKeys count canonical-key searches
-	// that blew their budget: the result (resp. branch) was then admitted
-	// unreduced rather than risking an unsound skip.
+	// InexactResultKeys counts canonical-key searches that blew their
+	// budget: the result was then emitted unreduced rather than risking
+	// an unsound skip.
 	InexactResultKeys atomic.Uint64
-	InexactBranchKeys atomic.Uint64
 
 	maxGroupOrder atomic.Uint64 // largest |Aut(G)| seen, saturating
 }
@@ -70,7 +65,9 @@ func (c *OrbitCounters) noteGroupOrder(order uint64) {
 }
 
 // OrbitStats is a point-in-time snapshot of OrbitCounters, shaped for
-// the service's /v1/stats payload.
+// the service's /v1/stats payload. SkippedBranches is always 0 (orbit
+// mode prunes no Lawler–Murty branch); it stays so existing readers of
+// the payload keep decoding it.
 type OrbitStats struct {
 	Enumerations      uint64 `json:"enumerations"`
 	TrivialGroups     uint64 `json:"trivial_groups"`
@@ -79,7 +76,6 @@ type OrbitStats struct {
 	SkippedResults    uint64 `json:"skipped_results"`
 	SkippedBranches   uint64 `json:"skipped_branches"`
 	InexactResultKeys uint64 `json:"inexact_result_keys"`
-	InexactBranchKeys uint64 `json:"inexact_branch_keys"`
 	MaxGroupOrder     uint64 `json:"max_group_order"`
 }
 
@@ -91,16 +87,12 @@ func (c *OrbitCounters) Snapshot() OrbitStats {
 		InexactGroups:     c.InexactGroups.Load(),
 		Representatives:   c.Representatives.Load(),
 		SkippedResults:    c.SkippedResults.Load(),
-		SkippedBranches:   c.SkippedBranches.Load(),
 		InexactResultKeys: c.InexactResultKeys.Load(),
-		InexactBranchKeys: c.InexactBranchKeys.Load(),
 		MaxGroupOrder:     c.maxGroupOrder.Load(),
 	}
 }
 
-// orbitBackend wraps any Backend with the orbit post-filter, and — when
-// the inner backend is a monolithic ranked DP solver — installs the
-// branch pruner on its Lawler–Murty enumerator.
+// orbitBackend wraps any Backend with the orbit post-filter.
 type orbitBackend struct {
 	inner    Backend
 	counters *OrbitCounters
@@ -169,17 +161,7 @@ func (b *orbitBackend) EnumerateParallelContext(ctx context.Context, workers int
 		f.order = aut.Order()
 		f.seen = make(map[string]struct{})
 	}
-	inner := b.inner.EnumerateParallelContext(ctx, workers)
-	if !f.passthrough && inner.lm != nil {
-		// Monolithic ranked DP: also skip Aut(G)-equivalent Lawler–Murty
-		// branches before they spawn constrained solves. Sound only
-		// because the post-filter above still runs — see DESIGN.md for
-		// the induction; decomposed and MIS streams get post-filter only.
-		if s, ok := b.inner.(*Solver); ok && s.dec == nil {
-			inner.lm.pruner = newOrbitPruner(s, b.counters)
-		}
-	}
-	f.inner = inner
+	f.inner = b.inner.EnumerateParallelContext(ctx, workers)
 	return &Enumerator{ext: f}
 }
 
@@ -274,96 +256,4 @@ func resultOrbitKey(g *graph.Graph, h *graph.Graph) (string, *graph.AutGroup, bo
 		}
 	}
 	return l.CanonicalKeyCells([][]int{a, bb}, 0)
-}
-
-// orbitPruner skips Lawler–Murty branches whose constraint set [I, X] is
-// Aut(G)-equivalent to one already admitted. Equivalence is decided by a
-// gadget canonical form: G plus one fresh node per constraint separator
-// (adjacent to exactly its members), canonicalized under the partition
-// [graph vertices, include nodes, exclude nodes]. Keys are recorded at
-// admit time — before the branch is solved, and even if it then proves
-// unsolvable — which is what the soundness induction in DESIGN.md
-// requires. A pruned branch's region is the γ-image of its admitted
-// twin's region, so every orbit retains a reachable member and the
-// downstream post-filter still emits exactly one representative each.
-type orbitPruner struct {
-	s        *Solver
-	counters *OrbitCounters
-	seen     map[string]struct{}
-	verts    []int       // active vertices of G, ascending
-	idx      map[int]int // vertex label -> gadget index
-	vcell    []int       // the graph-layer cell, reused across admits
-}
-
-func newOrbitPruner(s *Solver, counters *OrbitCounters) *orbitPruner {
-	verts := s.g.Vertices().Slice()
-	idx := make(map[int]int, len(verts))
-	vcell := make([]int, len(verts))
-	for i, v := range verts {
-		idx[v] = i
-		vcell[i] = i
-	}
-	return &orbitPruner{
-		s:        s,
-		counters: counters,
-		seen:     make(map[string]struct{}),
-		verts:    verts,
-		idx:      idx,
-		vcell:    vcell,
-	}
-}
-
-// admit reports whether the branch carrying cc should be solved. It
-// returns true (and records the key) for the first branch of each
-// constraint-set orbit, true without recording when the set cannot be
-// keyed exactly, and false for recognized repeats.
-func (p *orbitPruner) admit(cc *compiledConstraints) bool {
-	k := len(p.verts)
-	m := len(cc.cons)
-	l := graph.New(k + m)
-	for i := 0; i < k; i++ {
-		for j := i + 1; j < k; j++ {
-			if p.s.g.HasEdge(p.verts[i], p.verts[j]) {
-				l.AddEdge(i, j)
-			}
-		}
-	}
-	var icell, xcell []int
-	for t := range cc.cons {
-		info := &cc.cons[t]
-		if info.sepID < 0 {
-			// A non-interned constraint separator (possible only through
-			// the public API, never on the enumerator's own branches) has
-			// no set to rebuild the gadget from here; admit unkeyed.
-			return true
-		}
-		node := k + t
-		p.s.seps[info.sepID].ForEach(func(v int) bool {
-			l.AddEdge(node, p.idx[v])
-			return true
-		})
-		if info.include {
-			icell = append(icell, node)
-		} else {
-			xcell = append(xcell, node)
-		}
-	}
-	key, _, exact := l.CanonicalKeyCells([][]int{p.vcell, icell, xcell}, 0)
-	if !exact {
-		p.counters.InexactBranchKeys.Add(1)
-		return true
-	}
-	// CanonicalKeyCells drops empty cells from its size signature, so
-	// ([V], I, ∅) and ([V], ∅, X) shapes could alias; prefix the cell
-	// split explicitly.
-	var pre [16]byte
-	binary.LittleEndian.PutUint64(pre[:8], uint64(len(icell)))
-	binary.LittleEndian.PutUint64(pre[8:], uint64(len(xcell)))
-	key = string(pre[:]) + key
-	if _, dup := p.seen[key]; dup {
-		p.counters.SkippedBranches.Add(1)
-		return false
-	}
-	p.seen[key] = struct{}{}
-	return true
 }

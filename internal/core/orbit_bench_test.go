@@ -43,8 +43,7 @@ func disjointUnion(a, b *graph.Graph) *graph.Graph {
 // fresh enumeration — including the orbit backend's group computation,
 // since the serving tier pays that per stream. Reported metrics:
 // results/op (stream length; the reduction factor is plain/orbit),
-// solves/op (constrained Lawler–Murty solves), prunedbranches/op
-// (branch solves skipped by constraint-orbit pruning), and orbitsum/op
+// solves/op (constrained Lawler–Murty solves) and orbitsum/op
 // (Σ OrbitSize — must equal the plain stream length). Real numbers live
 // in BENCH_orbits.json.
 func BenchmarkOrbitStream(b *testing.B) {
@@ -98,8 +97,6 @@ func BenchmarkOrbitStream(b *testing.B) {
 				b.ReportMetric(float64(results)/float64(b.N), "results/op")
 				b.ReportMetric(float64(solves)/float64(b.N), "solves/op")
 				if mode == "orbit" {
-					st := counters.Snapshot()
-					b.ReportMetric(float64(st.SkippedBranches)/float64(b.N), "prunedbranches/op")
 					b.ReportMetric(float64(orbitSum)/float64(b.N), "orbitsum/op")
 				}
 			})

@@ -5,97 +5,94 @@ package minsep
 
 import (
 	"context"
-	"sort"
-	"time"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/intern"
 	"repro/internal/vset"
 )
 
-// All returns MinSep(G), the minimal separators of g, in canonical order.
-// If g is disconnected the empty separator is included (it is the unique
-// minimal (u,v)-separator for u, v in different components).
+// Stream produces MinSep(G) lazily with the Berry–Bordat–Cogis algorithm
+// (WG 1999): seed with the neighborhoods of the components of G \ N[v]
+// for every vertex v, then close under the expansion step S ↦ N(C) for
+// components C of G \ (S ∪ N(x)), x ∈ S. Separators are emitted in
+// discovery order, and a known separator is expanded only when every
+// discovered one has been handed out, so a consumer that stops early pays
+// only for the prefix it drew. The empty separator is emitted if and only
+// if g is disconnected (it is the unique minimal (u,v)-separator for u, v
+// in different components).
 //
-// The algorithm is Berry, Bordat and Cogis (WG 1999): seed with the
-// neighborhoods of the components of G \ N[v] for every vertex v, then
-// close under the expansion step S ↦ N(C) for components C of
-// G \ (S ∪ N(x)), x ∈ S.
-func All(g *graph.Graph) []vset.Set {
-	out, _ := all(g, nil)
-	return out
+// The ranked DP drains a Stream through All; the CKK enumeration and the
+// backend probe draw from one directly.
+type Stream struct {
+	g        *graph.Graph
+	tab      *intern.Table // dedup set and discovery order in one
+	produced int           // prefix of tab already handed out
+	expanded int           // prefix of tab already expanded
 }
 
-// AllWithDeadline is All with a wall-clock deadline: it returns ok=false
-// (and a partial list) when the deadline passes before the closure
-// completes. A zero deadline disables the check. This powers the paper's
-// tractability experiments (Figure 5), which classify graphs by whether
-// the separators can be generated within a time budget.
-func AllWithDeadline(g *graph.Graph, deadline time.Time) ([]vset.Set, bool) {
-	if deadline.IsZero() {
-		return all(g, nil)
-	}
-	return all(g, func() bool { return time.Now().After(deadline) })
-}
-
-// AllCtx is All with cancellation: it returns ok=false (and a partial
-// list) when ctx is cancelled or its deadline passes before the closure
-// completes. This is the entry point long-lived services use to abandon
-// initialization work for disconnected clients.
-func AllCtx(ctx context.Context, g *graph.Graph) ([]vset.Set, bool) {
-	if ctx.Done() == nil {
-		return all(g, nil)
-	}
-	return all(g, func() bool { return ctx.Err() != nil })
-}
-
-// all runs the closure, aborting early when the (possibly nil) expired
-// predicate reports true.
-func all(g *graph.Graph, expired func() bool) ([]vset.Set, bool) {
-	seen := intern.New(g.NumVertices())
-	var queue []vset.Set
-	add := func(s vset.Set) {
-		if _, fresh := seen.Intern(s); fresh {
-			queue = append(queue, s)
-		}
-	}
-	if expired == nil {
-		expired = func() bool { return false }
-	}
+// NewStream starts the separator generator for g. The neighborhood seeds
+// are computed here; every expansion step is deferred to Next.
+func NewStream(g *graph.Graph) *Stream {
+	st := &Stream{g: g, tab: intern.New(g.NumVertices())}
 	g.Vertices().ForEach(func(v int) bool {
 		for _, c := range g.ComponentsAvoiding(g.ClosedNeighborhood(v)) {
-			add(g.NeighborsOfSet(c))
+			st.tab.Intern(g.NeighborsOfSet(c))
 		}
 		return true
 	})
-	for len(queue) > 0 {
-		if expired() {
-			return collect(g, seen), false
+	return st
+}
+
+// Next returns one more minimal separator, or ok=false when the closure
+// is exhausted or ctx is cancelled (distinguish via ctx.Err()). The
+// context is checked before every expansion step.
+func (st *Stream) Next(ctx context.Context) (vset.Set, bool) {
+	for st.produced == st.tab.Len() && st.expanded < st.tab.Len() {
+		if ctx.Err() != nil {
+			return vset.Set{}, false
 		}
-		s := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
+		s := st.tab.Set(st.expanded)
+		st.expanded++
 		s.ForEach(func(x int) bool {
-			avoid := s.Union(g.Neighbors(x))
+			avoid := s.Union(st.g.Neighbors(x))
 			avoid.AddInPlace(x)
-			for _, c := range g.ComponentsAvoiding(avoid) {
-				add(g.NeighborsOfSet(c))
+			for _, c := range st.g.ComponentsAvoiding(avoid) {
+				st.tab.Intern(st.g.NeighborsOfSet(c))
 			}
 			return true
 		})
 	}
-	return collect(g, seen), true
+	if st.produced == st.tab.Len() {
+		return vset.Set{}, false
+	}
+	st.produced++
+	return st.tab.Set(st.produced - 1), true
 }
 
-func collect(g *graph.Graph, seen *intern.Table) []vset.Set {
-	out := make([]vset.Set, 0, seen.Len())
-	for _, s := range seen.Sets() {
-		if s.IsEmpty() && g.IsConnected() {
-			continue
-		}
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
+// All returns MinSep(G), the minimal separators of g, in canonical order.
+// If g is disconnected the empty separator is included.
+func All(g *graph.Graph) []vset.Set {
+	out, _ := AllCtx(context.Background(), g)
 	return out
+}
+
+// AllCtx is All with cancellation: it returns ok=false (and the sorted
+// list of the separators found so far) when ctx is cancelled or its
+// deadline passes before the closure completes. Long-lived services use
+// it to abandon initialization work for disconnected clients, and the
+// tractability experiments (Figure 5/7) bound it with a deadline.
+func AllCtx(ctx context.Context, g *graph.Graph) ([]vset.Set, bool) {
+	st := NewStream(g)
+	for {
+		if _, ok := st.Next(ctx); !ok {
+			break
+		}
+	}
+	// The intern table holds every emitted separator, in emission order.
+	out := append(make([]vset.Set, 0, st.tab.Len()), st.tab.Sets()...)
+	slices.SortFunc(out, vset.Set.Compare)
+	return out, st.expanded == st.tab.Len()
 }
 
 // AtMost returns the minimal separators of g of size at most k, by

@@ -1,6 +1,7 @@
 package minsep
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -184,6 +185,95 @@ func TestAtMost(t *testing.T) {
 	for _, s := range small {
 		if s.Len() > 2 {
 			t.Fatalf("AtMost returned oversized separator %v", s)
+		}
+	}
+}
+
+// drain collects every separator st emits under ctx.
+func drain(ctx context.Context, st *Stream) []vset.Set {
+	var out []vset.Set
+	for {
+		s, ok := st.Next(ctx)
+		if !ok {
+			return out
+		}
+		out = append(out, s)
+	}
+}
+
+func TestStreamMatchesAll(t *testing.T) {
+	// The stream must produce exactly MinSep(G), each separator once —
+	// the backend probe's count and the CKK move universe are both
+	// meaningless otherwise.
+	rng := rand.New(rand.NewSource(1010))
+	for trial := 0; trial < 60; trial++ {
+		g := gen.GNP(rng, 2+rng.Intn(7), 0.2+rng.Float64()*0.6)
+		want := map[string]bool{}
+		for _, s := range All(g) {
+			want[s.Key()] = true
+		}
+		got := map[string]bool{}
+		for _, s := range drain(context.Background(), NewStream(g)) {
+			k := s.Key()
+			if got[k] {
+				t.Fatalf("trial %d: separator %v emitted twice", trial, s)
+			}
+			got[k] = true
+		}
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: stream produced %d separators, All %d",
+				trial, len(got), len(want))
+		}
+		for k := range want {
+			if !got[k] {
+				t.Fatalf("trial %d: stream missed a separator", trial)
+			}
+		}
+	}
+}
+
+func TestStreamEmptyIffDisconnected(t *testing.T) {
+	rng := rand.New(rand.NewSource(1212))
+	for trial := 0; trial < 200; trial++ {
+		g := gen.GNP(rng, 1+rng.Intn(8), 0.05+rng.Float64()*0.5)
+		empties := 0
+		for _, s := range drain(context.Background(), NewStream(g)) {
+			if s.IsEmpty() {
+				empties++
+			}
+		}
+		want := 0
+		if !g.IsConnected() {
+			want = 1
+		}
+		if empties != want {
+			t.Fatalf("trial %d (n=%d, connected=%v): ∅ emitted %d times, want %d",
+				trial, g.NumVertices(), g.IsConnected(), empties, want)
+		}
+	}
+}
+
+func TestStreamCancelled(t *testing.T) {
+	g := gen.GNP(rand.New(rand.NewSource(7)), 10, 0.4)
+	full := All(g)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	// The neighborhood-seeded prefix is computed at construction, so a few
+	// draws may still succeed; the stream must stop at the first expansion
+	// step after cancellation instead of producing the full closure.
+	seeds := drain(ctx, NewStream(g))
+	if len(seeds) == 0 || len(seeds) >= len(full) {
+		t.Fatalf("cancelled stream emitted %d of %d separators, want a nonempty strict prefix",
+			len(seeds), len(full))
+	}
+	// AllCtx reports the same partial list, sorted, with ok=false.
+	partial, ok := AllCtx(ctx, g)
+	if ok || len(partial) != len(seeds) {
+		t.Fatalf("cancelled AllCtx: ok=%v with %d separators, want false with %d", ok, len(partial), len(seeds))
+	}
+	for i := 1; i < len(partial); i++ {
+		if partial[i-1].Compare(partial[i]) >= 0 {
+			t.Fatalf("cancelled AllCtx output not in canonical order")
 		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"context"
 	"errors"
 	"sort"
-	"time"
 
 	"repro/internal/graph"
 	"repro/internal/intern"
@@ -82,20 +81,10 @@ func All(g *graph.Graph) []vset.Set {
 // ErrDeadline reports that a deadline-bounded enumeration ran out of time.
 var ErrDeadline = errors.New("pmc: deadline exceeded")
 
-// AllWithDeadline is All with a wall-clock deadline; it returns
-// ErrDeadline when the budget runs out (Figure 5 tractability runs).
-func AllWithDeadline(g *graph.Graph, deadline time.Time) ([]vset.Set, error) {
-	if deadline.IsZero() {
-		return All(g), nil
-	}
-	ctx, cancel := context.WithDeadline(context.Background(), deadline)
-	defer cancel()
-	return AllCtx(ctx, g)
-}
-
 // AllCtx is All with cancellation: it returns ErrDeadline when ctx is
 // cancelled or times out before the enumeration completes. Long-lived
-// services use it to abandon initialization for disconnected clients.
+// services use it to abandon initialization for disconnected clients,
+// and the Figure 5 tractability runs bound it with a deadline.
 func AllCtx(ctx context.Context, g *graph.Graph) ([]vset.Set, error) {
 	out, ok := enumerate(ctx, g, -1)
 	if !ok {

@@ -94,7 +94,7 @@ func TestBackendQueryKnobOverrides(t *testing.T) {
 
 	// The query knob overrides the body field.
 	req := fmt.Sprintf(`{"graph6": %q, "backend": "dp", "page_size": 1}`, g6)
-	httpResp, err := http.Post(ts.URL+"/v1/enumerate?backend=mis-scored", "application/json", strings.NewReader(req))
+	httpResp, err := http.Post(ts.URL+"/v1/enumerate?backend=ckk", "application/json", strings.NewReader(req))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,14 +103,17 @@ func TestBackendQueryKnobOverrides(t *testing.T) {
 	if err := json.NewDecoder(httpResp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
-	if out.Backend != "mis-scored" {
-		t.Fatalf("query knob: want mis-scored, got %q", out.Backend)
+	if out.Backend != "mis" {
+		t.Fatalf("query knob: want mis, got %q", out.Backend)
 	}
 
-	// Unknown names are client errors.
-	status, body := postRaw(t, ts.URL+"/v1/enumerate?backend=quantum", fmt.Sprintf(`{"graph6": %q}`, g6))
-	if status != http.StatusBadRequest {
-		t.Fatalf("unknown backend: want 400, got %d: %s", status, body)
+	// Unknown names are client errors; mis-scored and scored name no
+	// backend.
+	for _, name := range []string{"quantum", "mis-scored", "scored"} {
+		status, body := postRaw(t, ts.URL+"/v1/enumerate?backend="+name, fmt.Sprintf(`{"graph6": %q}`, g6))
+		if status != http.StatusBadRequest || !strings.Contains(string(body), "unknown backend") {
+			t.Fatalf("backend %q: want 400 unknown backend, got %d: %s", name, status, body)
+		}
 	}
 }
 
@@ -169,31 +172,6 @@ func TestBackendStreamsDoNotAlias(t *testing.T) {
 	stats := getStats(t, ts)
 	if stats.Backends.DP != 1 || stats.Backends.MIS != 1 {
 		t.Fatalf("backend counters after one request each: %+v", stats.Backends)
-	}
-}
-
-// TestMISScoredSessionCompletes exercises the scored backend through the
-// full session lifecycle: C6's 14 triangulations, no duplicates, done=true.
-func TestMISScoredSessionCompletes(t *testing.T) {
-	_, ts := newTestServer(t, Config{PageSize: 4})
-	g6 := cycleGraph6(t, 6)
-	first, _ := postEnumerate(t, ts, fmt.Sprintf(`{"graph6": %q, "cost": "fill", "backend": "mis-scored"}`, g6))
-	if first.Backend != "mis-scored" {
-		t.Fatalf("want mis-scored, got %q", first.Backend)
-	}
-	count := len(first.Results)
-	token := first.Session
-	done := first.Done
-	for !done {
-		page, status := getNext(t, ts, token, 0)
-		if status != http.StatusOK {
-			t.Fatalf("paging: status %d", status)
-		}
-		count += len(page.Results)
-		done = page.Done
-	}
-	if count != 14 {
-		t.Fatalf("C6 via mis-scored: got %d results, want 14", count)
 	}
 }
 

@@ -156,7 +156,7 @@ func (s *Server) compileProblem(req *EnumerateRequest, q url.Values) (*CompiledP
 	}
 	kind, ok := core.ParseBackendKind(backendName)
 	if !ok {
-		return nil, fmt.Errorf("unknown backend %q (want auto, dp, mis or mis-scored)", backendName)
+		return nil, fmt.Errorf("unknown backend %q (want auto, dp or mis)", backendName)
 	}
 	cp.Kind = kind
 	if cp.Orbits, err = knob(q, "orbits", strconv.ParseBool, req.Orbits, s.cfg.DefaultOrbits); err != nil {
@@ -176,6 +176,9 @@ func (s *Server) compileProblem(req *EnumerateRequest, q url.Values) (*CompiledP
 	if cp.Window, err = knob(q, "window", strconv.Atoi, optInt(req.Window), 0); err != nil {
 		return nil, err
 	}
+	if cp.Window < 0 {
+		return nil, errors.New("window must be non-negative")
+	}
 	if cp.Window != 0 && cp.Diverse == 0 {
 		return nil, errors.New("window requires diverse mode (?diverse=k)")
 	}
@@ -183,7 +186,7 @@ func (s *Server) compileProblem(req *EnumerateRequest, q url.Values) (*CompiledP
 		if req.Stream {
 			return nil, errors.New("diverse is a one-shot paged response mode; it cannot be combined with stream")
 		}
-		if cp.Window <= 0 {
+		if cp.Window == 0 {
 			cp.Window = 4 * cp.Diverse
 		}
 		if cp.Window < cp.Diverse {
@@ -259,12 +262,12 @@ func (s *Server) buildBackend(ctx context.Context, cp *CompiledProblem) (core.Ba
 		}
 		backend, dpSolver, hit = solver, solver, poolHit
 	} else {
-		// The MIS backends are O(1) to construct — the separator stream and
+		// The MIS backend is O(1) to construct — the separator stream and
 		// the independent-set walk start lazily on the first result — so
 		// there is nothing to pool and no init budget to enforce. The
 		// shared-stream cache still dedups the enumeration work across
 		// consumers by key.
-		opts := core.MISOptions{Scored: cp.Kind == core.BackendMISScored}
+		var opts core.MISOptions
 		if cp.Bound >= 0 {
 			b := cp.Bound
 			opts.WidthBound = &b

@@ -85,11 +85,13 @@
 //
 // Solve knobs can also ride the query string on every POST route —
 // ?backend=, ?orbits=, ?diverse=, ?window= — with a fixed precedence:
-// query parameter over body field over server default. ?diverse=k
-// switches the response to a one-shot diverse portfolio: the first
-// ?window= ranks (default 4096, capped) are materialized and k results
-// are picked greedily to maximize the minimum pairwise fill-edge
-// distance, always leading with the true optimum. The response carries
+// query parameter over body field over server default. ?backend= takes
+// dp (alias ranked; ranked-exact), mis (alias ckk; unordered, no init
+// cost) or auto (separator-count probe); any other name is a 400.
+// ?diverse=k switches the response to a one-shot diverse portfolio: the
+// first ?window= ranks (default 4k, at most 4096; negative is a 400) are
+// materialized and k results are picked greedily to maximize the minimum
+// pairwise fill-edge distance, always leading with the true optimum. The response carries
 // "diverse" and "window" (the pool actually examined), each result
 // keeps its original rank as "index", and no session is created —
 // diverse mode cannot combine with "stream".
@@ -174,8 +176,9 @@
 // solver's precomputed unconstrained baseline for the rest
 // (reused_blocks); the reuse ratio measures how much enumeration work
 // the incremental DP absorbs. Config.FullResolve disables the reuse
-// server-wide (every branch re-runs the full DP) for A/B debugging — the
-// enumeration output is identical either way.
+// server-wide (every branch re-runs the full DP) for A/B oracle tests —
+// the enumeration output is identical either way. Like NoDecompose and
+// NoCanon it is a library option with no daemon flag.
 //
 // Stats also aggregate the clique-separator atom decompositions of the
 // cached solvers:
@@ -186,8 +189,7 @@
 // Graphs that split on clique minimal separators are solved one atom at
 // a time with the ranked streams merged, so initialization and delay
 // depend on the largest atom rather than the whole graph;
-// Config.NoDecompose (-no-decompose) forces the monolithic solver for
-// A/B debugging.
+// Config.NoDecompose forces the monolithic solver for A/B oracle tests.
 //
 // Stats also report the shared ranked-stream cache:
 //

@@ -197,6 +197,7 @@ func TestDiverseResponseMode(t *testing.T) {
 		fmt.Sprintf(`{"graph6": %q, "diverse": 2, "stream": true}`, g6): "cannot be combined with stream",
 		fmt.Sprintf(`{"graph6": %q, "window": 8}`, g6):                  "window requires diverse",
 		fmt.Sprintf(`{"graph6": %q, "diverse": 2, "window": 1}`, g6):    "window must be at least diverse",
+		fmt.Sprintf(`{"graph6": %q, "diverse": 2, "window": -5}`, g6):   "window must be non-negative",
 		fmt.Sprintf(`{"graph6": %q, "diverse": -1}`, g6):                "diverse must be non-negative",
 	} {
 		status, data = postJSON(t, ts, "/v1/enumerate", body)

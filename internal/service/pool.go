@@ -18,7 +18,7 @@ import (
 // matters. The Backend field keeps the shared ranked-stream cache honest:
 // a DP stream and a MIS stream over one (graph, cost, bound) produce
 // different sequences, so their keys must never alias. The solver pool
-// itself only ever holds DP solvers (the MIS backends are O(1) to build
+// itself only ever holds DP solvers (the MIS backend is O(1) to build
 // and are not pooled), so its keys all carry Backend == "dp".
 //
 // Orbits marks an orbit-reduced stream (core.NewOrbitBackend): the

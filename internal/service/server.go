@@ -97,8 +97,7 @@ type Config struct {
 	NoCanon bool
 	// DefaultBackend is the enumeration backend for requests that name
 	// none: "dp" (the default — ranked-exact, cost order), "mis"
-	// (unordered CKK separator-graph enumeration, no init cost),
-	// "mis-scored" (MIS with a cheap best-first heuristic order) or
+	// (unordered CKK separator-graph enumeration, no init cost) or
 	// "auto" (probe the separator count and pick DP below the budget, MIS
 	// above; see core.SelectBackend). A request's backend field or
 	// ?backend= query knob overrides it per request.
@@ -285,15 +284,13 @@ func (c *canonCounters) stats(enabled bool) CanonStats {
 // plus how many of them were routed by the auto probe rather than an
 // explicit choice. Snapshotted into /v1/stats.
 type backendCounters struct {
-	dp, mis, misScored, auto atomic.Uint64
+	dp, mis, auto atomic.Uint64
 }
 
 func (b *backendCounters) count(kind core.BackendKind, autoRouted bool) {
 	switch kind {
 	case core.BackendMIS:
 		b.mis.Add(1)
-	case core.BackendMISScored:
-		b.misScored.Add(1)
 	default:
 		b.dp.Add(1)
 	}
@@ -306,7 +303,6 @@ func (b *backendCounters) stats() BackendStats {
 	return BackendStats{
 		DP:           b.dp.Load(),
 		MIS:          b.mis.Load(),
-		MISScored:    b.misScored.Load(),
 		AutoResolved: b.auto.Load(),
 	}
 }

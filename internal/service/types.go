@@ -27,9 +27,9 @@ type EnumerateRequest struct {
 	Bound   *int   `json:"bound,omitempty"`
 
 	// Backend selects the enumeration engine: "dp" (ranked-exact, cost
-	// order), "mis" (unordered, no init cost), "mis-scored" (heuristic
-	// best-first) or "auto" (separator-count probe). Empty defers to the
-	// server's default; the ?backend= query knob overrides both.
+	// order), "mis" (unordered, no init cost) or "auto" (separator-count
+	// probe). Empty defers to the server's default; the ?backend= query
+	// knob overrides both.
 	Backend string `json:"backend,omitempty"`
 
 	// Orbits selects orbit-reduced enumeration: the stream collapses to
@@ -99,8 +99,8 @@ type EnumerateResponse struct {
 	Cost     string `json:"cost,omitempty"`
 	// Backend is the engine that served the request after auto
 	// resolution; Ranked reports whether its results arrive in
-	// non-decreasing cost order (false for the MIS backends, whose order
-	// is arbitrary or merely heuristic).
+	// non-decreasing cost order (false for the MIS backend, whose order
+	// is arbitrary).
 	Backend string `json:"backend,omitempty"`
 	Ranked  bool   `json:"ranked,omitempty"`
 	// Orbits reports whether the stream is orbit-reduced: results then
@@ -299,9 +299,9 @@ type WorkloadStats struct {
 // is on by default, how many enumerate requests ran orbit-reduced, and
 // the aggregated core counters of every orbit backend this server built
 // (core.OrbitStats, flattened) — representatives vs skipped results give
-// the realized stream-length reduction, skipped_branches the constrained
-// solves the Lawler–Murty pruner saved, and the trivial/inexact group
-// counts how often the mode degraded to a passthrough.
+// the realized stream-length reduction (skipped_branches is always 0),
+// and the trivial/inexact group counts how often the mode degraded to a
+// passthrough.
 type OrbitModeStats struct {
 	DefaultOn bool   `json:"default_on"`
 	Requests  uint64 `json:"requests"`
@@ -332,7 +332,6 @@ type CanonStats struct {
 type BackendStats struct {
 	DP           uint64 `json:"dp"`
 	MIS          uint64 `json:"mis"`
-	MISScored    uint64 `json:"mis_scored"`
 	AutoResolved uint64 `json:"auto_resolved"`
 }
 

@@ -215,31 +215,27 @@ type CKKEnumerator = ckk.Enumerator
 func NewCKK(g *Graph) *CKKEnumerator { return ckk.New(g, nil) }
 
 // Backend is a pluggable enumeration engine over one (graph, cost) pair:
-// the ranked-exact DP solver and the CKK separator-graph MIS adapters all
+// the ranked-exact DP solver and the CKK separator-graph MIS adapter both
 // implement it, producing the same Result stream shape, so the serving
 // tier (shared streams, sessions, NDJSON fan-out) is backend-agnostic.
 type Backend = core.Backend
 
-// BackendKind names an enumeration strategy ("dp", "mis", "mis-scored",
-// "auto").
+// BackendKind names an enumeration strategy ("dp", "mis", "auto").
 type BackendKind = core.BackendKind
 
 // Backend kinds (see core.BackendKind).
 const (
-	BackendAuto      = core.BackendAuto
-	BackendDP        = core.BackendDP
-	BackendMIS       = core.BackendMIS
-	BackendMISScored = core.BackendMISScored
+	BackendAuto = core.BackendAuto
+	BackendDP   = core.BackendDP
+	BackendMIS  = core.BackendMIS
 )
 
-// MISBackendOptions tunes NewMISBackend (width bound post-filter,
-// heuristic best-first scoring).
+// MISBackendOptions tunes NewMISBackend (width bound post-filter).
 type MISBackendOptions = core.MISOptions
 
 // NewMISBackend returns the Carmeli–Kenig–Kimelfeld separator-graph MIS
 // backend for (g, c): no initialization cost, incremental polynomial
-// time, results unordered (or heuristically best-first with
-// MISBackendOptions.Scored).
+// time, results unordered.
 func NewMISBackend(g *Graph, c Cost, opts MISBackendOptions) Backend {
 	return core.NewMISBackend(g, c, opts)
 }
