@@ -21,22 +21,32 @@ func delayBenchGraph(n int, p float64, seed int64) *graph.Graph {
 // enumerations are restarted (and their first result consumed) off the
 // clock. This is the headline number the incremental constraint-aware DP
 // targets: every Next() solves one Lawler–Murty branch per fresh
-// separator of the popped result.
+// separator of the popped result. The separator-rich case is the first
+// graph of the perfbench rank-sepdense corpus (G(22, .35), seed 101); it
+// runs incrementally only, since a full resolve re-solves ~700 blocks per
+// branch.
 func BenchmarkEnumerateDelay(b *testing.B) {
 	cases := []struct {
-		name string
-		n    int
-		p    float64
-		c    cost.Cost
+		name   string
+		n      int
+		p      float64
+		seed   int64
+		c      cost.Cost
+		ablate bool // also run the fullresolve ablation
 	}{
-		{"n14p30width", 14, 0.30, cost.Width{}},
-		{"n16p25width", 16, 0.25, cost.Width{}},
-		{"n16p25fill", 16, 0.25, cost.FillIn{}},
+		{"n14p30width", 14, 0.30, 7, cost.Width{}, true},
+		{"n16p25width", 16, 0.25, 7, cost.Width{}, true},
+		{"n16p25fill", 16, 0.25, 7, cost.FillIn{}, true},
+		{"n22p35fill", 22, 0.35, 101, cost.FillIn{}, false},
 	}
 	for _, tc := range cases {
 		for _, mode := range []string{"incremental", "fullresolve"} {
+			if mode == "fullresolve" && !tc.ablate {
+				continue
+			}
 			b.Run(tc.name+"/"+mode, func(b *testing.B) {
-				g := delayBenchGraph(tc.n, tc.p, 7)
+				b.ReportAllocs()
+				g := delayBenchGraph(tc.n, tc.p, tc.seed)
 				// Pin the monolithic machine: this benchmark measures the
 				// incremental constraint-aware DP, and a sparse G(n,p)
 				// instance may otherwise route through the atom
@@ -116,6 +126,7 @@ func BenchmarkMinTriangConstrained(b *testing.B) {
 		b.Fatal("want at least two separators")
 	}
 	cons := (&cost.Constraints{}).WithInclude(r.Seps[0]).WithExclude(r.Seps[1])
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := s.MinTriang(cons); err != nil {

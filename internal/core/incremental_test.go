@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -243,5 +244,42 @@ func TestLeanSepCovMatchesOracle(t *testing.T) {
 				t.Fatalf("seed %d: lean enumeration diverges at rank %d", seed, i)
 			}
 		}
+	}
+}
+
+// TestConstrainedSolveAllocs pins the per-call coverage arena: on a warm
+// solver, a constrained MinTriang allocates only what the unconstrained
+// call does (result assembly) plus the compiled constraints — a small
+// constant, not one coverage mask per block of the dirty cone.
+func TestConstrainedSolveAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation counts")
+	}
+	g := gen.ConnectedGNP(rand.New(rand.NewSource(7)), 18, 0.35)
+	s, err := New(context.Background(), g, cost.FillIn{}, Options{NoDecompose: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := s.MinTriang(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Seps) < 2 {
+		t.Fatal("want at least two separators")
+	}
+	cons := (&cost.Constraints{}).WithInclude(r.Seps[0]).WithExclude(r.Seps[1])
+	if _, err := s.MinTriang(cons); err != nil { // warm the sepCovs and the scratch pool
+		t.Fatal(err)
+	}
+	const slack = 16
+	dirty := s.compileConstraints(cons).dirty.Count()
+	if dirty <= 4*slack {
+		t.Fatalf("dirty cone of %d blocks is too small to tell per-block allocation apart", dirty)
+	}
+	base := testing.AllocsPerRun(20, func() { s.MinTriang(nil) })
+	got := testing.AllocsPerRun(20, func() { s.MinTriang(cons) })
+	t.Logf("dirty cone %d blocks: constrained %.0f allocs, unconstrained %.0f", dirty, got, base)
+	if got > base+slack {
+		t.Fatalf("constrained MinTriang: %.0f allocs, unconstrained %.0f; want at most %d more", got, base, slack)
 	}
 }

@@ -51,8 +51,8 @@ type Result struct {
 // components inside the realization precomputed (they are full blocks of
 // the input graph, Theorem 5.4, so they index into Solver.blocks).
 type candidate struct {
-	omega    vset.Set
-	pmcID    int // index of omega in Solver.pmcs
+	pmcID    int     // index of Ω in Solver.pmcs
+	bagSum   float64 // Combinable BagSum(g, Ω, block.S), fixed at init
 	children []int
 }
 
@@ -82,6 +82,7 @@ type Solver struct {
 	bound  int             // width bound, or -1
 	seps   []vset.Set
 	pmcs   []vset.Set
+	pmcMax []float64   // Combinable BagMax(g, Ω), aligned with pmcs
 	blocks []blockData // sorted by |span|; the last entry is the top level
 
 	// Interned-ID structures, built once at init.
@@ -262,10 +263,18 @@ func newSolver(ctx context.Context, g *graph.Graph, c cost.Cost, bound int, noDe
 
 // buildBlocks constructs the static DP structure: all full blocks sorted
 // by cardinality, each with its admissible PMCs and their sub-blocks, plus
-// a virtual top-level block (S = ∅, C = V). It checks ctx between blocks
-// and aborts with ctx.Err() on cancellation.
+// a virtual top-level block (S = ∅, C = V). For a Combinable cost it also
+// evaluates the constraint-independent bag terms once — BagMax per PMC,
+// BagSum per candidate — so no constrained solve calls the cost again. It
+// checks ctx between blocks and aborts with ctx.Err() on cancellation.
 func (s *Solver) buildBlocks(ctx context.Context) error {
 	g := s.g
+	if s.comb != nil {
+		s.pmcMax = make([]float64, len(s.pmcs))
+		for pi, omega := range s.pmcs {
+			s.pmcMax[pi] = s.comb.BagMax(g, omega)
+		}
+	}
 	full := pmc.FullBlocks(g, s.seps)
 	index := map[string]int{}
 	for i, b := range full {
@@ -287,7 +296,7 @@ func (s *Solver) buildBlocks(ctx context.Context) error {
 			if !omega.SubsetOf(bd.span) || !bd.block.S.ProperSubsetOf(omega) {
 				continue
 			}
-			cand := candidate{omega: omega, pmcID: pi}
+			cand := candidate{pmcID: pi}
 			ok := true
 			for _, ci := range g.ComponentsWithin(bd.span.Diff(omega)) {
 				si := g.NeighborsOfSet(ci).Intersect(bd.span)
@@ -303,6 +312,9 @@ func (s *Solver) buildBlocks(ctx context.Context) error {
 				cand.children = append(cand.children, child)
 			}
 			if ok {
+				if s.comb != nil {
+					cand.bagSum = s.comb.BagSum(g, omega, bd.block.S)
+				}
 				bd.cands = append(bd.cands, cand)
 			}
 		}
@@ -655,7 +667,7 @@ type blockSol struct {
 	cand     int // index into blockData.cands
 	value    float64
 	max, sum float64  // cost.Combinable summary
-	coverage []uint64 // constraint-pair coverage bitmask
+	coverage []uint64 // constraint-pair coverage bitmask, in the call's arena
 	bags     []vset.Set
 }
 
@@ -664,6 +676,7 @@ type blockSol struct {
 type solveScratch struct {
 	sols      []blockSol  // working solutions; starts as a copy of the baseline
 	cov       [][]uint64  // memoized coverage of clean (baseline-reused) blocks
+	covArena  []uint64    // backing storage of the call's retained coverage masks
 	covBuf    []uint64    // per-candidate coverage working buffer
 	act       []activeCon // active constraints of the block being solved
 	needArena []uint64    // backing storage for activeCon.need slices
@@ -684,9 +697,30 @@ func (sc *solveScratch) coverage(n int) []uint64 {
 	return buf
 }
 
+// mask carves a zeroed n-word coverage mask from the call's arena. A
+// full arena is replaced by a larger one; masks already handed out keep
+// the old backing array, so they stay valid until the call ends. Masks
+// never outlive the call (buildResult reads none, and the baseline
+// solutions carry nil coverage), so prepare simply rewinds the arena.
+// The arena is never nil, so even a zero-word mask is non-nil: a nil
+// mask means "not built yet" to coverageOf.
+func (sc *solveScratch) mask(n int) []uint64 {
+	start := len(sc.covArena)
+	if sc.covArena == nil || start+n > cap(sc.covArena) {
+		sc.covArena = make([]uint64, 0, 2*cap(sc.covArena)+n)
+		start = 0
+	}
+	sc.covArena = sc.covArena[:start+n]
+	m := sc.covArena[start : start+n : start+n]
+	clear(m)
+	return m
+}
+
 // prepare sizes the per-call buffers for a solve over npmcs PMCs with
-// words coverage words and invalidates the per-PMC memo.
+// words coverage words, invalidates the per-PMC memo and rewinds the
+// coverage arena.
 func (sc *solveScratch) prepare(npmcs, words int) {
+	sc.covArena = sc.covArena[:0]
 	if len(sc.bagDone) < npmcs {
 		sc.bagDone = make([]bool, npmcs)
 	} else {
@@ -893,15 +927,11 @@ func (s *Solver) resolveBlock(bi int, cc *compiledConstraints, sc *solveScratch)
 	if stable {
 		act = cc.activeAt(bi, s.blockSepID[bi], bd.block.S, sc)
 		buf := sc.coverage(cc.words)
-		copy(buf, cc.bagMask(sc, cand.pmcID, cand.omega))
-		for _, child := range cand.children {
-			for w, bits := range s.coverageOf(child, cc, sc) {
-				buf[w] |= bits
-			}
-		}
+		s.fillCoverage(buf, cand, cc, sc)
 		if checkActive(act, buf) {
 			sol := *base
-			sol.coverage = append([]uint64(nil), buf...)
+			sol.coverage = sc.mask(cc.words)
+			copy(sol.coverage, buf)
 			sc.sols[bi] = sol
 			return false
 		}
@@ -938,17 +968,21 @@ func (s *Solver) solveBlock(bi int, cc *compiledConstraints, sc *solveScratch, a
 		}
 	}
 	if cc != nil && best.ok {
-		cand := &bd.cands[best.cand]
-		cov := make([]uint64, cc.words)
-		copy(cov, cc.bagMask(sc, cand.pmcID, cand.omega))
-		for _, child := range cand.children {
-			for w, bits := range s.coverageOf(child, cc, sc) {
-				cov[w] |= bits
-			}
-		}
-		best.coverage = cov
+		best.coverage = sc.mask(cc.words)
+		s.fillCoverage(best.coverage, &bd.cands[best.cand], cc, sc)
 	}
 	return best
+}
+
+// fillCoverage writes into dst the constraint-pair coverage of a
+// candidate's subtree: its bag's mask ORed with its children's coverage.
+func (s *Solver) fillCoverage(dst []uint64, cand *candidate, cc *compiledConstraints, sc *solveScratch) {
+	copy(dst, cc.bagMask(sc, cand.pmcID, s.pmcs[cand.pmcID]))
+	for _, child := range cand.children {
+		for w, bits := range s.coverageOf(child, cc, sc) {
+			dst[w] |= bits
+		}
+	}
 }
 
 // coverageOf returns the constraint-pair coverage of a solved child
@@ -962,15 +996,9 @@ func (s *Solver) coverageOf(bi int, cc *compiledConstraints, sc *solveScratch) [
 	if m := sc.cov[bi]; m != nil {
 		return m
 	}
-	m := make([]uint64, cc.words)
+	m := sc.mask(cc.words)
 	sol := &sc.sols[bi] // clean: identical to the baseline solution
-	cand := &s.blocks[bi].cands[sol.cand]
-	copy(m, cc.bagMask(sc, cand.pmcID, cand.omega))
-	for _, child := range cand.children {
-		for w, bits := range s.coverageOf(child, cc, sc) {
-			m[w] |= bits
-		}
-	}
+	s.fillCoverage(m, &s.blocks[bi].cands[sol.cand], cc, sc)
 	sc.cov[bi] = m
 	return m
 }
@@ -992,19 +1020,14 @@ func (s *Solver) evalCandidate(bd *blockData, cand *candidate, cc *compiledConst
 	// Constraint coverage: bag-covered pairs of the subtree.
 	if cc != nil {
 		buf := sc.coverage(cc.words)
-		copy(buf, cc.bagMask(sc, cand.pmcID, cand.omega))
-		for _, child := range cand.children {
-			for w, bits := range s.coverageOf(child, cc, sc) {
-				buf[w] |= bits
-			}
-		}
+		s.fillCoverage(buf, cand, cc, sc)
 		if !checkActive(act, buf) {
 			return sol, false
 		}
 	}
 	if s.comb != nil {
-		sol.max = s.comb.BagMax(s.g, cand.omega)
-		sol.sum = s.comb.BagSum(s.g, cand.omega, bd.block.S)
+		sol.max = s.pmcMax[cand.pmcID]
+		sol.sum = cand.bagSum
 		for _, child := range cand.children {
 			if sols[child].max > sol.max {
 				sol.max = sols[child].max
@@ -1013,7 +1036,7 @@ func (s *Solver) evalCandidate(bd *blockData, cand *candidate, cc *compiledConst
 		}
 		sol.value = s.comb.Value(s.g, sol.max, sol.sum)
 	} else {
-		sol.bags = append(sol.bags, cand.omega)
+		sol.bags = append(sol.bags, s.pmcs[cand.pmcID])
 		for _, child := range cand.children {
 			sol.bags = append(sol.bags, sols[child].bags...)
 		}
@@ -1042,7 +1065,7 @@ func (s *Solver) buildResult(top int, sols []blockSol) *Result {
 	build = func(bi int) int {
 		bd := &s.blocks[bi]
 		cand := &bd.cands[sols[bi].cand]
-		node := tree.AddNode(cand.omega.Clone())
+		node := tree.AddNode(s.pmcs[cand.pmcID].Clone())
 		for _, child := range cand.children {
 			cn := build(child)
 			tree.AddEdge(node, cn)

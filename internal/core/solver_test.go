@@ -418,13 +418,49 @@ func TestEnumeratePaperExample(t *testing.T) {
 	}
 }
 
+// randomIntCosts returns the Combinable costs with caller-supplied terms,
+// drawn with small integer values over n vertices so every float sum is
+// exact and a cost sequence can be compared with ==.
+func randomIntCosts(rng *rand.Rand, n int) []cost.Cost {
+	domain := make([]int, n)
+	vw := make([]float64, n)
+	ew := make([][]float64, n)
+	for v := range domain {
+		domain[v] = 1 + rng.Intn(4)
+		vw[v] = float64(1 + rng.Intn(3))
+		ew[v] = make([]float64, n)
+	}
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			ew[u][v] = float64(1 + rng.Intn(5))
+			ew[v][u] = ew[u][v]
+		}
+	}
+	return []cost.Cost{
+		cost.TotalStateSpace{Domain: domain},
+		cost.WeightedFill{EdgeWeight: func(u, v int) float64 { return ew[u][v] }},
+		cost.WeightedWidth{BagWeight: func(_ *graph.Graph, bag vset.Set) float64 {
+			w := 0.0
+			bag.ForEach(func(v int) bool { w += vw[v]; return true })
+			return w
+		}},
+	}
+}
+
+// TestEnumerateCompleteAndOrderedRandom checks every cost's enumeration
+// against brute force: the same triangulations, in ranked order, with the
+// same cost sequence. The solver caches the Combinable bag terms at init,
+// so the costs with caller-supplied terms (state space with random
+// domains, integer edge and vertex weights) are in the list as well, and
+// the DP's value of the optimum is checked against the cost of the result.
 func TestEnumerateCompleteAndOrderedRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(555))
-	costs := []cost.Cost{cost.Width{}, cost.FillIn{}, cost.LexWidthFill{}}
-	for trial := 0; trial < 50; trial++ {
+	for trial := 0; trial < 60; trial++ {
 		n := 2 + rng.Intn(6)
 		g := gen.GNP(rng, n, 0.2+rng.Float64()*0.6)
 		want := bruteforce.AllMinimalTriangulations(g)
+		costs := append([]cost.Cost{cost.Width{}, cost.FillIn{}, cost.LexWidthFill{}},
+			randomIntCosts(rand.New(rand.NewSource(int64(trial))), n)...)
 		c := costs[trial%len(costs)]
 		s := NewSolver(g, c)
 		results := enumerateAll(t, s, len(want)+5)
@@ -446,11 +482,30 @@ func TestEnumerateCompleteAndOrderedRandom(t *testing.T) {
 				t.Fatalf("trial %d: oracle triangulation missed", trial)
 			}
 		}
-		// Ranked order.
-		for i := 1; i < len(results); i++ {
-			if results[i].Cost < results[i-1].Cost {
-				t.Fatalf("trial %d: order violated: %v after %v",
-					trial, results[i].Cost, results[i-1].Cost)
+		// The DP's own value of the optimum is the cost of the result it
+		// assembles: a wrongly cached bag term shows here even when it
+		// does not change which triangulation wins.
+		mono, err := New(context.Background(), g, c, Options{NoDecompose: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if top := mono.base[len(mono.blocks)-1]; !top.ok || top.value != results[0].Cost {
+			t.Fatalf("trial %d (%s): DP optimum %v, rank 1 costs %v", trial, c.Name(), top.value, results[0].Cost)
+		}
+		// Ranked order: the emitted costs are the sorted oracle costs.
+		wantCosts := make([]float64, len(want))
+		for i, h := range want {
+			cliques, err := chordal.MaximalCliques(h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantCosts[i] = c.Eval(g, cliques)
+		}
+		sort.Float64s(wantCosts)
+		for i, r := range results {
+			if r.Cost != wantCosts[i] {
+				t.Fatalf("trial %d (%s): rank %d has cost %v, oracle %v",
+					trial, c.Name(), i+1, r.Cost, wantCosts[i])
 			}
 		}
 		// Every result internally consistent.

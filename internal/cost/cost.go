@@ -5,8 +5,9 @@
 // (invariance under bag equivalence), so a Cost evaluates on a graph and a
 // bag collection. Costs that additionally decompose as a max-term plus an
 // additive term per bag implement Combinable, which lets the MinTriang
-// dynamic program combine sub-solutions in O(|Ω|²) instead of re-evaluating
-// whole decompositions.
+// dynamic program evaluate each bag's terms once, when the solver is
+// built, and combine sub-solutions in O(#children) arithmetic instead of
+// re-evaluating whole decompositions.
 package cost
 
 import (
@@ -31,6 +32,12 @@ type Cost interface {
 // of a bag placed at the root of a block (S, C) is charged relative to the
 // block's realization (pairs inside the separator sep belong to the parent
 // and are excluded). All built-in costs implement it.
+//
+// BagMax must depend only on (g, omega) and BagSum only on (g, omega,
+// sep), and both must be deterministic: the solver evaluates them once
+// per PMC (BagMax) and once per PMC at each block (BagSum) when it is
+// built, and reuses the cached values for its whole lifetime, across
+// every constrained re-solve of the enumeration.
 type Combinable interface {
 	Cost
 	// BagMax returns the max-combined term of bag omega (e.g. |Ω|-1 for
@@ -186,7 +193,9 @@ func (FillIn) MergeKind() MergeKind { return MergeSum }
 // fractional hypertree width).
 type WeightedWidth struct {
 	// BagWeight scores one bag. It must be monotone under bag inclusion
-	// for the cost to be split monotone.
+	// for the cost to be split monotone, and a deterministic function of
+	// (g, bag) alone: the solver calls it once per PMC and caches the
+	// result (see Combinable).
 	BagWeight func(g *graph.Graph, bag vset.Set) float64
 	// CostName labels the cost; defaults to "weighted-width".
 	CostName string
@@ -228,7 +237,9 @@ func (c WeightedWidth) MergeKind() MergeKind { return MergeMax }
 // WeightedFill is Furuse–Yamazaki's fill_c: the sum over added edges of a
 // per-edge weight.
 type WeightedFill struct {
-	// EdgeWeight prices the fill edge {u, v}.
+	// EdgeWeight prices the fill edge {u, v}. It must be a deterministic
+	// function of (u, v) alone: the solver sums it into each bag's term
+	// once and caches the result (see Combinable).
 	EdgeWeight func(u, v int) float64
 	// CostName labels the cost; defaults to "weighted-fill".
 	CostName string
