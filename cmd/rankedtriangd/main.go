@@ -34,7 +34,7 @@ import (
 func main() {
 	var (
 		addr          = flag.String("addr", ":8372", "listen address")
-		cacheSize     = flag.Int("cache-size", 64, "solver pool capacity (initialized graphs kept hot)")
+		cacheSize     = flag.Int("cache-size", 64, "graphs kept hot: each one's solver and streams")
 		maxSessions   = flag.Int("max-sessions", 256, "maximum live enumeration sessions")
 		idleTimeout   = flag.Duration("idle-timeout", 5*time.Minute, "evict sessions idle longer than this")
 		pageSize      = flag.Int("page-size", 10, "default results per page")

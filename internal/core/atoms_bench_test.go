@@ -15,8 +15,9 @@ import (
 // decomposition's promise is that delay depends on the largest atom
 // rather than the whole graph: each Next() advances one atom's
 // Lawler–Murty machine instead of branching over every separator of a
-// whole-graph result. Recorded in BENCH_atoms.json; the acceptance bar of
-// ISSUE 3 is ≥ 3x.
+// whole-graph result. Its headline numbers are kept in the
+// perfbench/baseline.json history; the decomposition is expected to cut
+// delay at least 3x.
 //
 // Solver initialization (including the lazy parallel sub-solver builds,
 // forced by the warm-up Next) runs off the clock; BenchmarkAtomsInit

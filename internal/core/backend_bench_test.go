@@ -23,8 +23,9 @@ import (
 //     cheap and the DP's ranked order is worth keeping, which is why the
 //     auto probe routes such graphs to DP.
 //
-// Recorded in BENCH_backend.json; the acceptance bar of ISSUE 6 is MIS
-// time-to-first-result ≥ 10x below DP init on the separator-rich instance.
+// Its headline numbers are kept in the perfbench/baseline.json history;
+// MIS time-to-first-result is expected to sit at least 10x below DP init
+// on the separator-rich instance.
 func BenchmarkBackendCrossover(b *testing.B) {
 	cases := []struct {
 		name string

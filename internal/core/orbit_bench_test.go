@@ -44,8 +44,8 @@ func disjointUnion(a, b *graph.Graph) *graph.Graph {
 // since the serving tier pays that per stream. Reported metrics:
 // results/op (stream length; the reduction factor is plain/orbit),
 // solves/op (constrained Lawler–Murty solves) and orbitsum/op
-// (Σ OrbitSize — must equal the plain stream length). Real numbers live
-// in BENCH_orbits.json.
+// (Σ OrbitSize — must equal the plain stream length). Headline numbers
+// live in the perfbench/baseline.json history.
 func BenchmarkOrbitStream(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	copies := gen.IsoCopies(rng, gen.CirculantGraph(6, []int{1}), 2)

@@ -81,7 +81,7 @@ func BenchmarkSharedStreamFanout(b *testing.B) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					h := store.Acquire(key, solver)
+					h := acquire(store, key, solver)
 					defer h.Release()
 					consume(b, func(i int) (*core.Result, bool) {
 						r, ok, err := h.At(context.Background(), i)
@@ -177,7 +177,8 @@ func BenchmarkCanonFanout(b *testing.B) {
 			}
 			wg.Wait()
 			b.StopTimer()
-			solves += srv.Pool().ReuseStats().ConstrainedSolves
+			_, reuse, _ := srv.Streams().SolverStats()
+			solves += reuse.ConstrainedSolves
 			srv.Close()
 			b.StartTimer()
 		}
@@ -213,7 +214,7 @@ func BenchmarkPrefetchReadLatency(b *testing.B) {
 			if tune {
 				store.Tune(1, ranks+16, 0)
 			}
-			h := store.Acquire(key, solver)
+			h := acquire(store, key, solver)
 			// The first read raises the demand mark (starting the producer
 			// when speculation is on); it is cold in both variants and not a
 			// sample.
@@ -241,52 +242,62 @@ func BenchmarkPrefetchReadLatency(b *testing.B) {
 	b.Run("demand", func(b *testing.B) { run(b, false) })
 }
 
-// BenchmarkSolverPoolColdInit measures the miss path: full solver
-// initialization (minimal separators, PMCs, blocks) through the pool.
-func BenchmarkSolverPoolColdInit(b *testing.B) {
+// BenchmarkCacheColdInit measures the miss path: full solver
+// initialization (minimal separators, PMCs, blocks) through the cache's
+// singleflighted build.
+func BenchmarkCacheColdInit(b *testing.B) {
 	graphs := benchGraphs(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		pool := NewSolverPool(len(graphs))
+		store := NewStreamStore(0, len(graphs))
 		for _, ng := range graphs {
 			g := ng.Graph
 			key := SolverKey{Fingerprint: g.Fingerprint(), Cost: "width", Bound: -1}
-			if _, _, err := pool.Get(context.Background(), key, func(ctx context.Context) (*core.Solver, error) {
+			h, err := store.Acquire(context.Background(), key, func(ctx context.Context) (*core.Solver, error) {
 				return core.NewSolverContext(ctx, g, cost.Width{})
-			}); err != nil {
+			}, openSolver)
+			if err != nil {
 				b.Fatal(err)
 			}
+			h.Release()
 		}
 	}
 }
 
-// BenchmarkSolverPoolCachedFetch measures the hit path: fingerprint
-// hashing plus the LRU lookup, the steady-state cost of a re-submitted
-// graph.
-func BenchmarkSolverPoolCachedFetch(b *testing.B) {
+// BenchmarkCacheCachedFetch measures the hit path: fingerprint hashing
+// plus the entry lookup, joining a cached solver and its warm stream —
+// the steady-state cost of a re-submitted graph.
+func BenchmarkCacheCachedFetch(b *testing.B) {
 	graphs := benchGraphs(b)
-	pool := NewSolverPool(len(graphs))
+	store := NewStreamStore(0, len(graphs))
 	for _, ng := range graphs {
 		g := ng.Graph
 		key := SolverKey{Fingerprint: g.Fingerprint(), Cost: "width", Bound: -1}
-		if _, _, err := pool.Get(context.Background(), key, func(ctx context.Context) (*core.Solver, error) {
+		h, err := store.Acquire(context.Background(), key, func(ctx context.Context) (*core.Solver, error) {
 			return core.NewSolverContext(ctx, g, cost.Width{})
-		}); err != nil {
+		}, openSolver)
+		if err != nil {
 			b.Fatal(err)
 		}
+		// One materialized rank keeps the stream cached after the release.
+		if _, ok, err := h.At(context.Background(), 0); !ok || err != nil {
+			b.Fatalf("rank 0: ok=%v err=%v", ok, err)
+		}
+		h.Release()
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g := graphs[i%len(graphs)].Graph
 		key := SolverKey{Fingerprint: g.Fingerprint(), Cost: "width", Bound: -1}
-		_, hit, err := pool.Get(context.Background(), key, func(ctx context.Context) (*core.Solver, error) {
+		h, err := store.Acquire(context.Background(), key, func(ctx context.Context) (*core.Solver, error) {
 			b.Fatal("cached fetch must not rebuild")
 			return nil, nil
-		})
-		if err != nil || !hit {
-			b.Fatalf("want cache hit, got hit=%v err=%v", hit, err)
+		}, openSolver)
+		if err != nil || !h.SolverHit || !h.StreamHit {
+			b.Fatalf("want cache hit, got err=%v", err)
 		}
+		h.Release()
 	}
 }
 

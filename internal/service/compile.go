@@ -59,8 +59,8 @@ type CompiledProblem struct {
 	// egress; nil when no relabeling is needed.
 	FromCanon []int
 	// Key identifies the solver/stream serving this problem. The Backend
-	// and Orbits fields are finalized by the server's buildBackend once
-	// auto routing has resolved.
+	// field is finalized by the server's openStream once auto routing has
+	// resolved.
 	Key SolverKey
 }
 
@@ -117,7 +117,7 @@ const maxDiverseWindow = 4096
 //
 // The returned problem's Key carries the requested backend kind; when
 // that is BackendAuto the server resolves it post-admission (see
-// Server.buildBackend) and finalizes the key then.
+// Server.openStream) and finalizes the key then.
 func (s *Server) compileProblem(req *EnumerateRequest, q url.Values) (*CompiledProblem, error) {
 	g, h, err := buildGraph(req, s.cfg.MaxVertices)
 	if err != nil {
@@ -206,34 +206,31 @@ func (s *Server) compileProblem(req *EnumerateRequest, q url.Values) (*CompiledP
 	return cp, nil
 }
 
-// buildBackend is the post-admission half of the pipeline: it resolves
+// openStream is the post-admission half of the pipeline: it resolves
 // auto backend routing (the separator probe is real work, so it runs
-// under an admission slot), obtains the enumeration engine — the pooled,
-// singleflighted DP solver or an O(1) MIS construction — wraps it for
-// orbit reduction, finalizes the cache key, and attributes the
-// canonical-keying cache hit. It returns the engine, the DP solver when
-// one serves the request (for SolverInfo), and whether the engine was
-// served without starting a new initialization. On error the returned
-// status is the HTTP status to report (503 for cancelled or
-// out-of-budget initialization, 500 for genuine server bugs).
-func (s *Server) buildBackend(ctx context.Context, cp *CompiledProblem) (core.Backend, *core.Solver, bool, int, error) {
+// under an admission slot), finalizes the cache key, and acquires the
+// problem's shared stream from the cache — the cached or singleflighted
+// DP solver, or an O(1) MIS construction, wrapped for orbit reduction
+// when asked. The caller owns the returned handle and must release it
+// (pagedResponse hands it to a session). On error the returned status is
+// the HTTP status to report (503 for cancelled or out-of-budget
+// initialization, 500 for genuine server bugs such as a panicking
+// build).
+func (s *Server) openStream(ctx context.Context, cp *CompiledProblem) (*StreamHandle, int, error) {
 	if cp.AutoRouted = cp.Kind == core.BackendAuto; cp.AutoRouted {
 		cp.Kind = core.SelectBackend(ctx, cp.Graph, cp.Kind, s.cfg.BackendProbeBudget)
 	}
-
-	var backend core.Backend
-	var dpSolver *core.Solver
-	var hit bool
+	cp.Key = SolverKey{Fingerprint: cp.Graph.Fingerprint(), Cost: cp.CostKey, Bound: cp.Bound, Backend: string(cp.Kind), Orbits: cp.Orbits}
+	opts := core.Options{NoDecompose: s.cfg.NoDecompose}
+	if cp.Bound >= 0 {
+		b := cp.Bound
+		opts.WidthBound = &b
+	}
+	var build BuildFunc
 	if cp.Kind == core.BackendDP {
-		key := SolverKey{Fingerprint: cp.Graph.Fingerprint(), Cost: cp.CostKey, Bound: cp.Bound, Backend: string(core.BackendDP)}
-		solver, poolHit, err := s.pool.Get(ctx, key, func(bctx context.Context) (*core.Solver, error) {
+		build = func(bctx context.Context) (*core.Solver, error) {
 			bctx, cancel := context.WithTimeout(bctx, s.cfg.InitTimeout)
 			defer cancel()
-			opts := core.Options{NoDecompose: s.cfg.NoDecompose}
-			if cp.Bound >= 0 {
-				b := cp.Bound
-				opts.WidthBound = &b
-			}
 			solver, err := core.New(bctx, cp.Graph, cp.Cost, opts)
 			if err != nil {
 				return nil, err
@@ -249,50 +246,46 @@ func (s *Server) buildBackend(ctx context.Context, cp *CompiledProblem) (core.Ba
 			// other waiter.
 			solver.SetFullResolve(s.cfg.FullResolve)
 			return solver, nil
-		})
-		if err != nil {
-			// Cancelled or out-of-budget initialization is a capacity signal
-			// (503, as documented), not a server bug (500). The error names
-			// the escape hatch: the MIS backend has no init to time out.
-			status := http.StatusInternalServerError
-			if ctx.Err() != nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				status = http.StatusServiceUnavailable
-			}
-			return nil, nil, false, status, fmt.Errorf("solver initialization failed (consider ?backend=mis): %v", err)
 		}
-		backend, dpSolver, hit = solver, solver, poolHit
-	} else {
-		// The MIS backend is O(1) to construct — the separator stream and
-		// the independent-set walk start lazily on the first result — so
-		// there is nothing to pool and no init budget to enforce. The
-		// shared-stream cache still dedups the enumeration work across
-		// consumers by key.
-		var opts core.MISOptions
-		if cp.Bound >= 0 {
-			b := cp.Bound
-			opts.WidthBound = &b
+	}
+	open := func(solver *core.Solver) core.Backend {
+		var backend core.Backend = solver
+		if solver == nil {
+			// The MIS backend is O(1) to construct — the separator stream and
+			// the independent-set walk start lazily on the first result — so
+			// there is no solver to cache and no init budget to enforce.
+			backend = core.NewMISBackend(cp.Graph, cp.Cost, core.MISOptions{WidthBound: opts.WidthBound})
 		}
-		backend = core.NewMISBackend(cp.Graph, cp.Cost, opts)
+		if cp.Orbits {
+			// The orbit wrapper goes around whatever engine was resolved; the
+			// key's Orbits bit gives it a stream of its own, while the DP
+			// solver stays shared with the plain stream — all orbit state
+			// lives in the wrapper (and its per-enumeration filter).
+			backend = core.NewOrbitBackend(backend, &s.orbits.core)
+		}
+		return backend
+	}
+	h, err := s.streams.Acquire(ctx, cp.Key, build, open)
+	if err != nil {
+		// Cancelled or out-of-budget initialization is a capacity signal
+		// (503, as documented), not a server bug (500). The error names
+		// the escape hatch: the MIS backend has no init to time out.
+		status := http.StatusInternalServerError
+		if ctx.Err() != nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+			status = http.StatusServiceUnavailable
+		}
+		return nil, status, fmt.Errorf("solver initialization failed (consider ?backend=mis): %v", err)
 	}
 	s.backends.count(cp.Kind, cp.AutoRouted)
-	cp.Key = SolverKey{Fingerprint: cp.Graph.Fingerprint(), Cost: cp.CostKey, Bound: cp.Bound, Backend: string(cp.Kind)}
 	if cp.Orbits {
-		// The orbit wrapper goes around whatever engine was resolved, and
-		// the key gains the Orbits bit so the shared stream cache never
-		// serves a reduced sequence to an unreduced consumer or vice versa.
-		// The pooled DP solver itself stays shared across both modes — all
-		// orbit state lives in the wrapper (and its per-enumeration filter).
 		s.orbits.requests.Add(1)
-		backend = core.NewOrbitBackend(backend, &s.orbits.core)
-		cp.Key.Orbits = true
 	}
 	// A canonical hit is a relabeled request served by a solver or
-	// materialized stream that some *other* labeling built — counted
-	// before this request acquires the stream itself.
-	if cp.FromCanon != nil && (hit || s.streams.Contains(cp.Key)) {
+	// materialized stream that some *other* labeling built.
+	if cp.FromCanon != nil && (h.SolverHit || h.StreamHit) {
 		s.canon.hits.Add(1)
 	}
-	return backend, dpSolver, hit, 0, nil
+	return h, 0, nil
 }
 
 // pagedResponse serves one compiled problem as a first page plus resume
@@ -300,9 +293,9 @@ func (s *Server) buildBackend(ctx context.Context, cp *CompiledProblem) (core.Ba
 // /v1/batch items and the /v1/hypergraph and /v1/csp endpoints. The
 // returned results are the first page in the client's labeling (the
 // /v1/csp payoff solver consumes them); on error the returned status is
-// the HTTP status to report.
-func (s *Server) pagedResponse(ctx context.Context, cp *CompiledProblem, backend core.Backend, dpSolver *core.Solver, hit bool) (*EnumerateResponse, []*core.Result, int, error) {
-	sess, err := s.sessions.Create(backend, cp.Key, cp.ClientGraph, cp.FromCanon)
+// the HTTP status to report. The session created here takes over h.
+func (s *Server) pagedResponse(ctx context.Context, cp *CompiledProblem, h *StreamHandle) (*EnumerateResponse, []*core.Result, int, error) {
+	sess, err := s.sessions.Create(h, cp.ClientGraph, cp.FromCanon)
 	if err != nil {
 		return nil, nil, statusFor(err), err
 	}
@@ -319,16 +312,16 @@ func (s *Server) pagedResponse(ctx context.Context, cp *CompiledProblem, backend
 	client := sess.egress(results)
 	resp := &EnumerateResponse{
 		Done:     done,
-		CacheHit: hit,
+		CacheHit: h.SolverHit,
 		Cost:     cp.Cost.Name(),
 		Backend:  string(cp.Kind),
-		Ranked:   backend.Ranked(),
+		Ranked:   h.Backend().Ranked(),
 		Orbits:   cp.Orbits,
 		Graph:    &GraphInfo{N: cp.ClientGraph.Universe(), M: cp.ClientGraph.NumEdges(), Fingerprint: cp.Key.Fingerprint},
 		Results:  pageJSON(cp.ClientGraph, 0, client),
 	}
-	if dpSolver != nil {
-		resp.Solver = solverInfo(dpSolver)
+	if h.Solver != nil {
+		resp.Solver = solverInfo(h.Solver)
 	}
 	if !done {
 		resp.Session = sess.Token
@@ -343,11 +336,11 @@ func (s *Server) pagedResponse(ctx context.Context, cp *CompiledProblem, backend
 // always first), and return them in one session-less response. Each
 // result keeps its rank in the underlying enumeration as its index. The
 // returned results are the selection in the client's labeling; on error
-// the returned status is the HTTP status to report.
-func (s *Server) diverseResponse(ctx context.Context, cp *CompiledProblem, backend core.Backend, dpSolver *core.Solver, hit bool) (*EnumerateResponse, []*core.Result, int, error) {
-	s.workloads.diverse.Add(1)
-	h := s.streams.Acquire(cp.Key, backend)
+// the returned status is the HTTP status to report. diverseResponse
+// releases h.
+func (s *Server) diverseResponse(ctx context.Context, cp *CompiledProblem, h *StreamHandle) (*EnumerateResponse, []*core.Result, int, error) {
 	defer h.Release()
+	s.workloads.diverse.Add(1)
 	pool := make([]*core.Result, 0, cp.Window)
 	for len(pool) < cp.Window {
 		r, ok, err := h.At(ctx, len(pool))
@@ -372,18 +365,18 @@ func (s *Server) diverseResponse(ctx context.Context, cp *CompiledProblem, backe
 	}
 	resp := &EnumerateResponse{
 		Done:     true,
-		CacheHit: hit,
+		CacheHit: h.SolverHit,
 		Cost:     cp.Cost.Name(),
 		Backend:  string(cp.Kind),
-		Ranked:   backend.Ranked(),
+		Ranked:   h.Backend().Ranked(),
 		Orbits:   cp.Orbits,
 		Diverse:  cp.Diverse,
 		Window:   len(pool),
 		Graph:    &GraphInfo{N: cp.ClientGraph.Universe(), M: cp.ClientGraph.NumEdges(), Fingerprint: cp.Key.Fingerprint},
 		Results:  page,
 	}
-	if dpSolver != nil {
-		resp.Solver = solverInfo(dpSolver)
+	if h.Solver != nil {
+		resp.Solver = solverInfo(h.Solver)
 	}
 	return resp, client, 0, nil
 }

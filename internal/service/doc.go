@@ -4,27 +4,31 @@
 // — results stream by increasing cost, clients stop when the prefix is
 // good enough — maps directly onto paged and streamed HTTP responses.
 //
-// The subsystem has four layers:
+// The subsystem has three layers:
 //
-//   - SolverPool deduplicates and LRU-caches initialized core.Solvers,
-//     keyed by the canonical graph fingerprint plus the cost and width
-//     bound. Concurrent requests for the same key share one
-//     initialization; abandoned initializations are cancelled via
-//     context once their last waiter disconnects.
-//   - StreamStore materializes each solver's ranked enumeration exactly
-//     once per key: an append-only result buffer (core.SharedStream)
-//     shared by every consumer of that key, produced on demand with a
-//     per-rank singleflight — the first cursor to need rank i drives the
-//     enumerator, later cursors read the buffer. Each Next fans its
-//     independent Lawler–Murty branch solves over a worker pool
-//     (Config.SolveWorkers, -solve-workers; the emitted sequence is
-//     identical at any worker count), and a speculative producer per
-//     stream runs the enumeration up to Config.PrefetchAhead ranks and
-//     Config.PrefetchBytes past the fastest cursor so warm reads are
-//     buffer hits, not solves. Buffers live under an LRU byte budget
-//     (Config.StreamBudgetBytes, -stream-budget); an evicted buffer
-//     rebuilds lazily and, because the enumeration order is
-//     deterministic, replays identical ranks.
+//   - StreamStore is the one cache. Per canonical graph fingerprint, cost
+//     and width bound it keeps an entry holding the initialized
+//     core.Solver and the ranked streams over it, which live and die
+//     together. Concurrent requests for the same problem share one
+//     initialization; an abandoned initialization is cancelled via
+//     context once its last waiter disconnects, and a failed or
+//     panicking one is not cached. Each stream materializes its ranked
+//     enumeration exactly once: an append-only result buffer
+//     (core.SharedStream) shared by every consumer of that key,
+//     produced on demand with a per-rank singleflight — the first cursor
+//     to need rank i drives the enumerator, later cursors read the
+//     buffer. Each Next fans its independent Lawler–Murty branch solves
+//     over a worker pool (Config.SolveWorkers, -solve-workers; the
+//     emitted sequence is identical at any worker count), and a
+//     speculative producer per stream runs the enumeration up to
+//     Config.PrefetchAhead ranks and Config.PrefetchBytes past the
+//     fastest cursor so warm reads are buffer hits, not solves. Buffers
+//     live under an LRU byte budget (Config.StreamBudgetBytes,
+//     -stream-budget); an evicted buffer rebuilds lazily and, because
+//     the enumeration order is deterministic, replays identical ranks.
+//     The budget never drops a solver: only the entry cap
+//     (Config.CacheSize, -cache-size) does, taking the least recently
+//     used unreferenced entries whole.
 //   - SessionManager holds thin cursors (token + position) over the
 //     shared streams behind opaque resume tokens so clients page through
 //     results across requests. Idle sessions are evicted by a janitor;
@@ -42,8 +46,8 @@
 // in one place, for /v1/enumerate, /v1/batch, /v1/hypergraph and
 // /v1/csp alike. Endpoints differ only in how they source the request
 // and what they do with the ranked stream afterwards, so every workload
-// shares the solver pool, the stream buffers and the
-// isomorphism-canonical cache keys.
+// shares the one solver and stream cache and its isomorphism-canonical
+// keys.
 //
 // # HTTP API
 //
@@ -69,7 +73,7 @@
 //	{
 //	  "session": "f2a9…",          // pass to /v1/sessions/{token}/next
 //	  "done": false,
-//	  "cache_hit": true,           // solver served from the pool
+//	  "cache_hit": true,           // no new solver initialization started
 //	  "cost": "width",
 //	  "graph": {"n": 4, "m": 3, "fingerprint": "9057…"},
 //	  "solver": {"minimal_separators": 2, "pmcs": 4, "full_blocks": 4, "init_ms": 0,
@@ -200,7 +204,7 @@
 // A stream hit means a new session or NDJSON stream rode an existing
 // materialized buffer instead of enumerating privately — N concurrent
 // clients on one graph cost one enumeration, not N (see
-// BenchmarkSharedStreamFanout and BENCH_stream.json).
+// BenchmarkSharedStreamFanout and the perfbench/baseline.json history).
 //
 // Stats also report the speculation ledger:
 //
@@ -214,8 +218,8 @@
 // prefetch_solves split the production work between waiting consumers
 // and the background producers; pauses/resumes count producers parked
 // on last-cursor release and woken by the next acquire (see
-// BenchmarkPrefetchReadLatency and BENCH_parallel.json). GET /healthz —
-// liveness.
+// BenchmarkPrefetchReadLatency and the perfbench/baseline.json history).
+// GET /healthz — liveness.
 //
 // Errors are {"error": "…"} with a 4xx/5xx status: 400 for malformed
 // graphs, unknown costs or bad knobs, 404 for unknown sessions, 413 when

@@ -17,7 +17,7 @@ import (
 // admitted batch solves its problems sequentially. Sequencing is what
 // makes the canonical dedup pay off inside a single batch: isomorphic
 // members compile to one cache key, so the first builds the solver and
-// every later one hits the pool or the materialized stream. A failing
+// every later one hits the cached solver or the materialized stream. A failing
 // problem reports its error in its item and never fails the batch.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
@@ -84,15 +84,15 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // compiled problem and packages the outcome as a batch item. The caller
 // holds the admission slot.
 func (s *Server) solveItem(ctx context.Context, cp *CompiledProblem) BatchItem {
-	backend, dpSolver, hit, _, err := s.buildBackend(ctx, cp)
+	h, _, err := s.openStream(ctx, cp)
 	if err != nil {
 		return BatchItem{Error: err.Error()}
 	}
 	var resp *EnumerateResponse
 	if cp.Diverse > 0 {
-		resp, _, _, err = s.diverseResponse(ctx, cp, backend, dpSolver, hit)
+		resp, _, _, err = s.diverseResponse(ctx, cp, h)
 	} else {
-		resp, _, _, err = s.pagedResponse(ctx, cp, backend, dpSolver, hit)
+		resp, _, _, err = s.pagedResponse(ctx, cp, h)
 	}
 	if err != nil {
 		return BatchItem{Error: err.Error()}
@@ -140,22 +140,22 @@ func (s *Server) handleHypergraph(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	backend, dpSolver, hit, status, err := s.buildBackend(ctx, cp)
+	h, status, err := s.openStream(ctx, cp)
 	if err != nil {
 		writeError(w, status, err)
 		return
 	}
 
 	if req.Stream {
-		s.streamResults(w, r, cp.ClientGraph, backend, cp.Key, cp.FromCanon, req.MaxResults)
+		s.streamResults(w, r, cp.ClientGraph, h, cp.FromCanon, req.MaxResults)
 		return
 	}
 
 	var resp *EnumerateResponse
 	if cp.Diverse > 0 {
-		resp, _, status, err = s.diverseResponse(ctx, cp, backend, dpSolver, hit)
+		resp, _, status, err = s.diverseResponse(ctx, cp, h)
 	} else {
-		resp, _, status, err = s.pagedResponse(ctx, cp, backend, dpSolver, hit)
+		resp, _, status, err = s.pagedResponse(ctx, cp, h)
 	}
 	if err != nil {
 		writeError(w, status, err)
@@ -221,7 +221,7 @@ func (s *Server) handleCSP(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	backend, dpSolver, hit, status, err := s.buildBackend(ctx, cp)
+	h, status, err := s.openStream(ctx, cp)
 	if err != nil {
 		writeError(w, status, err)
 		return
@@ -230,9 +230,9 @@ func (s *Server) handleCSP(w http.ResponseWriter, r *http.Request) {
 	var resp *EnumerateResponse
 	var results []*core.Result
 	if cp.Diverse > 0 {
-		resp, results, status, err = s.diverseResponse(ctx, cp, backend, dpSolver, hit)
+		resp, results, status, err = s.diverseResponse(ctx, cp, h)
 	} else {
-		resp, results, status, err = s.pagedResponse(ctx, cp, backend, dpSolver, hit)
+		resp, results, status, err = s.pagedResponse(ctx, cp, h)
 	}
 	if err != nil {
 		writeError(w, status, err)

@@ -57,13 +57,16 @@ func TestOrbitModeEndToEnd(t *testing.T) {
 			t.Fatalf("plain result carries orbit_size %d", r.OrbitSize)
 		}
 	}
-	if got := srv.Streams().Len(); got != 2 {
+	if got := srv.Streams().Stats().Streams; got != 2 {
 		t.Fatalf("want 2 distinct stream entries (orbit + plain), got %d", got)
 	}
 
 	stats := getStats(t, ts)
 	if stats.Orbits.DefaultOn {
 		t.Fatal("stats claim orbit mode is on by default")
+	}
+	if stats.Pool.Misses != 1 {
+		t.Fatalf("the orbit and plain streams must share one solver build, got %+v", stats.Pool)
 	}
 	if stats.Orbits.Requests != 1 {
 		t.Fatalf("orbit request counter: want 1, got %d", stats.Orbits.Requests)

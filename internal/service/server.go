@@ -18,7 +18,10 @@ import (
 
 // Config tunes the Server. Zero values select the documented defaults.
 type Config struct {
-	// CacheSize caps the solver pool (default 64 solvers).
+	// CacheSize caps the graphs kept hot: each one's solver and streams
+	// live and die together as one cache entry (default 64). Entries with
+	// live cursors or a build in flight outlive the cap; the least
+	// recently used of the rest are dropped.
 	CacheSize int
 	// MaxSessions caps concurrently parked enumerations (default 256).
 	MaxSessions int
@@ -51,7 +54,8 @@ type Config struct {
 	// materialized result buffers shared by sessions and NDJSON streams
 	// (default 64 MiB). Past the budget the least recently used buffers
 	// are dropped; a dropped buffer rebuilds lazily and replays the
-	// identical ranks if a live cursor still needs it.
+	// identical ranks if a live cursor still needs it. The budget never
+	// drops a solver.
 	StreamBudgetBytes int64
 	// SolveWorkers is the goroutine pool size each materialized stream's
 	// Next fans its independent Lawler–Murty branch solves over — the
@@ -87,8 +91,8 @@ type Config struct {
 	// initialization and per-result delay on clique-separated graphs are
 	// exponentially worse — so production deployments leave it false.
 	NoDecompose bool
-	// NoCanon disables canonical cache keying: solver-pool and
-	// stream-store keys fall back to the label-sensitive fingerprint, so
+	// NoCanon disables canonical cache keying: solver and
+	// stream keys fall back to the label-sensitive fingerprint, so
 	// isomorphic submissions with different vertex numberings build
 	// separate solvers and streams (the pre-PR-8 behavior). An escape
 	// hatch for debugging the canonical labeling or for workloads of
@@ -120,7 +124,7 @@ func (c Config) withDefaults() Config {
 	// never meaningful here, and letting one through would panic (e.g.
 	// make(chan, -1)) or wedge paging.
 	if c.CacheSize <= 0 {
-		c.CacheSize = 64
+		c.CacheSize = defaultCacheSize
 	}
 	if c.MaxSessions <= 0 {
 		c.MaxSessions = 256
@@ -212,7 +216,6 @@ const defaultMaxBatchItems = 256
 // the API). It is an http.Handler; Close releases every live session.
 type Server struct {
 	cfg       Config
-	pool      *SolverPool
 	streams   *StreamStore
 	sessions  *SessionManager
 	sem       chan struct{}
@@ -310,16 +313,12 @@ func (b *backendCounters) stats() BackendStats {
 // New returns a ready-to-serve Server.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	// Stream entries pin their solver via the rebuild factory, so the
-	// entry cap tracks the solver pool's: a stream whose solver left the
-	// pool does not linger much longer than the solver itself.
 	streams := NewStreamStore(cfg.StreamBudgetBytes, cfg.CacheSize)
 	streams.Tune(cfg.SolveWorkers, cfg.PrefetchAhead, cfg.PrefetchBytes)
 	s := &Server{
 		cfg:      cfg,
-		pool:     NewSolverPool(cfg.CacheSize),
 		streams:  streams,
-		sessions: NewSessionManager(cfg.MaxSessions, cfg.IdleTimeout, streams),
+		sessions: NewSessionManager(cfg.MaxSessions, cfg.IdleTimeout),
 		sem:      make(chan struct{}, cfg.MaxConcurrent),
 		mux:      http.NewServeMux(),
 		start:    time.Now(),
@@ -350,10 +349,7 @@ func (s *Server) Close() {
 	s.streams.Close()
 }
 
-// Pool exposes the solver pool (stats, tests).
-func (s *Server) Pool() *SolverPool { return s.pool }
-
-// Streams exposes the shared ranked-stream cache (stats, tests).
+// Streams exposes the solver and ranked-stream cache (stats, tests).
 func (s *Server) Streams() *StreamStore { return s.streams }
 
 // Sessions exposes the session manager (stats, tests).
@@ -411,22 +407,22 @@ func (s *Server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	backend, dpSolver, hit, status, err := s.buildBackend(ctx, cp)
+	h, status, err := s.openStream(ctx, cp)
 	if err != nil {
 		writeError(w, status, err)
 		return
 	}
 
 	if req.Stream {
-		s.streamResults(w, r, cp.ClientGraph, backend, cp.Key, cp.FromCanon, req.MaxResults)
+		s.streamResults(w, r, cp.ClientGraph, h, cp.FromCanon, req.MaxResults)
 		return
 	}
 
 	var resp *EnumerateResponse
 	if cp.Diverse > 0 {
-		resp, _, status, err = s.diverseResponse(ctx, cp, backend, dpSolver, hit)
+		resp, _, status, err = s.diverseResponse(ctx, cp, h)
 	} else {
-		resp, _, status, err = s.pagedResponse(ctx, cp, backend, dpSolver, hit)
+		resp, _, status, err = s.pagedResponse(ctx, cp, h)
 	}
 	if err != nil {
 		writeError(w, status, err)
@@ -500,8 +496,10 @@ const streamWriteTimeout = 30 * time.Second
 // on one (graph, cost, bound, backend) key split a single enumeration
 // between them instead of each running their own.
 // Results are stored canonically; fromCanon (when non-nil) relabels each
-// line back into the client's labeling on the way out.
-func (s *Server) streamResults(w http.ResponseWriter, r *http.Request, g *graph.Graph, backend core.Backend, key SolverKey, fromCanon []int, max int) {
+// line back into the client's labeling on the way out. streamResults
+// releases h.
+func (s *Server) streamResults(w http.ResponseWriter, r *http.Request, g *graph.Graph, h *StreamHandle, fromCanon []int, max int) {
+	defer h.Release()
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	rc := http.NewResponseController(w)
@@ -509,8 +507,6 @@ func (s *Server) streamResults(w http.ResponseWriter, r *http.Request, g *graph.
 	enc := json.NewEncoder(w)
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.StreamTimeout)
 	defer cancel()
-	h := s.streams.Acquire(key, backend)
-	defer h.Release()
 	count := 0
 	for max <= 0 || count < max {
 		res, ok, err := h.At(ctx, count)
@@ -647,13 +643,14 @@ func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+	pool, reuse, atoms := s.streams.SolverStats()
 	writeJSON(w, http.StatusOK, &StatsResponse{
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Requests:      s.requests.Load(),
-		Pool:          s.pool.Stats(),
+		Pool:          pool,
 		Sessions:      s.sessions.Stats(),
-		Solver:        s.pool.ReuseStats(),
-		Atoms:         s.pool.AtomStats(),
+		Solver:        reuse,
+		Atoms:         atoms,
 		Streams:       s.streams.Stats(),
 		Prefetch:      s.prefetchStats(),
 		Backends:      s.backends.stats(),

@@ -155,7 +155,7 @@ func TestEnumerateResumeExhaust(t *testing.T) {
 }
 
 // TestCacheHitOnResubmission submits the same graph twice and expects the
-// second request to be served from the solver pool.
+// second request to be served by the cached solver.
 func TestCacheHitOnResubmission(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	g6 := cycleGraph6(t, 6)
@@ -370,10 +370,13 @@ func TestSessionInfoAndDelete(t *testing.T) {
 	}
 }
 
+// openSolver serves a stream straight from the entry's DP solver.
+func openSolver(s *core.Solver) core.Backend { return s }
+
 // TestPoolSingleflight hammers one key concurrently and expects exactly
 // one initialization.
 func TestPoolSingleflight(t *testing.T) {
-	pool := NewSolverPool(4)
+	store := NewStreamStore(0, 4)
 	g := gen.Cycle(6)
 	key := SolverKey{Fingerprint: g.Fingerprint(), Cost: "width", Bound: -1}
 	builds := make(chan struct{}, 64)
@@ -381,10 +384,13 @@ func TestPoolSingleflight(t *testing.T) {
 	errc := make(chan error, callers)
 	for i := 0; i < callers; i++ {
 		go func() {
-			_, _, err := pool.Get(context.Background(), key, func(ctx context.Context) (*core.Solver, error) {
+			h, err := store.Acquire(context.Background(), key, func(ctx context.Context) (*core.Solver, error) {
 				builds <- struct{}{}
 				return core.NewSolverContext(ctx, g, cost.Width{})
-			})
+			}, openSolver)
+			if err == nil {
+				h.Release()
+			}
 			errc <- err
 		}()
 	}
@@ -396,27 +402,31 @@ func TestPoolSingleflight(t *testing.T) {
 	if n := len(builds); n != 1 {
 		t.Fatalf("want exactly 1 build, got %d", n)
 	}
-	if stats := pool.Stats(); stats.Misses != 1 || stats.Hits != callers-1 {
+	if stats, _, _ := store.SolverStats(); stats.Misses != 1 || stats.Hits != callers-1 {
 		t.Fatalf("bad stats: %+v", stats)
 	}
 }
 
-// TestPoolEviction fills the pool past capacity and expects LRU eviction.
+// TestPoolEviction fills the cache past its entry cap and expects LRU
+// eviction of the unreferenced solvers.
 func TestPoolEviction(t *testing.T) {
-	pool := NewSolverPool(2)
+	store := NewStreamStore(0, 2)
 	for n := 4; n <= 7; n++ {
 		g := gen.Cycle(n)
 		key := SolverKey{Fingerprint: g.Fingerprint(), Cost: "width", Bound: -1}
-		if _, _, err := pool.Get(context.Background(), key, func(ctx context.Context) (*core.Solver, error) {
+		h, err := store.Acquire(context.Background(), key, func(ctx context.Context) (*core.Solver, error) {
 			return core.NewSolverContext(ctx, g, cost.Width{})
-		}); err != nil {
+		}, openSolver)
+		if err != nil {
 			t.Fatal(err)
 		}
+		h.Release()
 	}
-	if pool.Len() != 2 {
-		t.Fatalf("want 2 cached solvers, got %d", pool.Len())
+	stats, _, _ := store.SolverStats()
+	if stats.Size != 2 {
+		t.Fatalf("want 2 cached solvers, got %d", stats.Size)
 	}
-	if stats := pool.Stats(); stats.Evictions != 2 {
+	if stats.Evictions != 2 {
 		t.Fatalf("want 2 evictions, got %+v", stats)
 	}
 }
@@ -424,17 +434,17 @@ func TestPoolEviction(t *testing.T) {
 // TestPoolAbandonedInit cancels the only waiter of an in-flight build and
 // expects the build context to be cancelled with it.
 func TestPoolAbandonedInit(t *testing.T) {
-	pool := NewSolverPool(2)
+	store := NewStreamStore(0, 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	started := make(chan struct{})
 	cancelled := make(chan struct{})
 	go func() {
-		pool.Get(ctx, SolverKey{Fingerprint: "x"}, func(bctx context.Context) (*core.Solver, error) {
+		store.Acquire(ctx, SolverKey{Fingerprint: "x"}, func(bctx context.Context) (*core.Solver, error) {
 			close(started)
 			<-bctx.Done()
 			close(cancelled)
 			return nil, bctx.Err()
-		})
+		}, openSolver)
 	}()
 	<-started
 	cancel()
@@ -442,6 +452,53 @@ func TestPoolAbandonedInit(t *testing.T) {
 	case <-cancelled:
 	case <-time.After(5 * time.Second):
 		t.Fatal("build context was not cancelled after its last waiter left")
+	}
+}
+
+// TestPoolPanickingBuild: a build that panics fails its Acquire with an
+// error naming the panic, is not cached, and leaves the store serving.
+func TestPoolPanickingBuild(t *testing.T) {
+	store := NewStreamStore(0, 4)
+	_, err := store.Acquire(context.Background(), SolverKey{Fingerprint: "boom"}, func(context.Context) (*core.Solver, error) {
+		panic("injected cost failure")
+	}, openSolver)
+	if err == nil || !strings.Contains(err.Error(), "panicked") || !strings.Contains(err.Error(), "injected cost failure") {
+		t.Fatalf("want an error naming the panic, got %v", err)
+	}
+	if stats, _, _ := store.SolverStats(); stats.Size != 0 || stats.Inflight != 0 {
+		t.Fatalf("a failed build must not be cached: %+v", stats)
+	}
+	g := gen.Cycle(5)
+	h, err := store.Acquire(context.Background(), SolverKey{Fingerprint: g.Fingerprint()}, func(ctx context.Context) (*core.Solver, error) {
+		return core.NewSolverContext(ctx, g, cost.Width{})
+	}, openSolver)
+	if err != nil {
+		t.Fatalf("the store must keep serving after a panicking build: %v", err)
+	}
+	defer h.Release()
+	if _, ok, err := h.At(context.Background(), 0); !ok || err != nil {
+		t.Fatalf("rank 0 after the panic: ok=%v err=%v", ok, err)
+	}
+}
+
+// TestSolverLivesWithItsStreams is the one-cache regression test. With
+// room for a single graph, a live paged session on C7 keeps C7's entry —
+// solver and stream — referenced while C8 is served, so a second C7
+// request reuses the solver its stream already pins instead of starting
+// a second initialization of the same graph.
+func TestSolverLivesWithItsStreams(t *testing.T) {
+	_, ts := newTestServer(t, Config{CacheSize: 1, PageSize: 2})
+	c7 := fmt.Sprintf(`{"graph6": %q}`, cycleGraph6(t, 7))
+	if first, _ := postEnumerate(t, ts, c7); first.Done || first.Session == "" {
+		t.Fatalf("C7 must leave a live session: %+v", first)
+	}
+	postEnumerate(t, ts, fmt.Sprintf(`{"graph6": %q}`, cycleGraph6(t, 8)))
+	again, _ := postEnumerate(t, ts, c7)
+	if !again.CacheHit {
+		t.Fatal("second C7 request re-initialized the solver its live stream still holds")
+	}
+	if stats := getStats(t, ts); stats.Pool.Misses != 2 {
+		t.Fatalf("want 2 solver builds (C7, C8), got %+v", stats.Pool)
 	}
 }
 
@@ -494,10 +551,10 @@ func TestStreamTruncation(t *testing.T) {
 // TestNextPageRedelivery cancels a paging request mid-page and checks the
 // pulled results are redelivered (not lost) on the retry.
 func TestNextPageRedelivery(t *testing.T) {
-	m := NewSessionManager(4, time.Minute, nil)
+	m := NewSessionManager(4, time.Minute)
 	defer m.Close()
 	solver := core.NewSolver(gen.Cycle(5), cost.Width{})
-	sess, err := m.Create(solver, SolverKey{}, nil, nil)
+	sess, err := m.Create(acquire(NewStreamStore(0, 0), SolverKey{}, solver), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -517,10 +574,10 @@ func TestNextPageRedelivery(t *testing.T) {
 
 // TestNextPageAfterEviction distinguishes eviction from exhaustion.
 func TestNextPageAfterEviction(t *testing.T) {
-	m := NewSessionManager(4, time.Minute, nil)
+	m := NewSessionManager(4, time.Minute)
 	defer m.Close()
 	solver := core.NewSolver(gen.Cycle(5), cost.Width{})
-	sess, err := m.Create(solver, SolverKey{}, nil, nil)
+	sess, err := m.Create(acquire(NewStreamStore(0, 0), SolverKey{}, solver), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -532,10 +589,10 @@ func TestNextPageAfterEviction(t *testing.T) {
 
 // TestCreateAfterClose reports shutdown, not a bogus missing session.
 func TestCreateAfterClose(t *testing.T) {
-	m := NewSessionManager(4, time.Minute, nil)
+	m := NewSessionManager(4, time.Minute)
 	m.Close()
 	solver := core.NewSolver(gen.Cycle(4), cost.Width{})
-	if _, err := m.Create(solver, SolverKey{}, nil, nil); !errors.Is(err, ErrShuttingDown) {
+	if _, err := m.Create(acquire(NewStreamStore(0, 0), SolverKey{}, solver), nil, nil); !errors.Is(err, ErrShuttingDown) {
 		t.Fatalf("want ErrShuttingDown, got %v", err)
 	}
 }
@@ -545,9 +602,9 @@ func TestCreateAfterClose(t *testing.T) {
 // error response claiming the replay was anchored at rank 0 would send a
 // recovering client back to re-fetch pages it already has.
 func TestReplayAnchorOnError(t *testing.T) {
-	m := NewSessionManager(4, time.Minute, nil)
+	m := NewSessionManager(4, time.Minute)
 	solver := core.NewSolver(gen.Cycle(6), cost.Width{})
-	sess, err := m.Create(solver, SolverKey{}, nil, nil)
+	sess, err := m.Create(acquire(NewStreamStore(0, 0), SolverKey{}, solver), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

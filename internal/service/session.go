@@ -35,7 +35,6 @@ var ErrShuttingDown = errors.New("service: shutting down")
 // which serializes concurrent requests for the same token.
 type Session struct {
 	Token string
-	Key   SolverKey
 
 	g *graph.Graph
 	// fromCanon maps the stream's (canonical) labels back to the client's
@@ -102,7 +101,6 @@ type SessionStats struct {
 type SessionManager struct {
 	mu       sync.Mutex
 	sessions map[string]*Session
-	store    *StreamStore
 	max      int
 	idle     time.Duration
 	created  uint64
@@ -114,22 +112,18 @@ type SessionManager struct {
 	janitor    chan struct{}
 }
 
-// NewSessionManager returns a manager holding at most max sessions over
-// store's materialized streams, evicting sessions idle longer than idle.
-func NewSessionManager(max int, idle time.Duration, store *StreamStore) *SessionManager {
+// NewSessionManager returns a manager holding at most max sessions,
+// evicting sessions idle longer than idle.
+func NewSessionManager(max int, idle time.Duration) *SessionManager {
 	if max < 1 {
 		max = 1
 	}
 	if idle <= 0 {
 		idle = 5 * time.Minute
 	}
-	if store == nil {
-		store = NewStreamStore(0, 0)
-	}
 	base, cancel := context.WithCancel(context.Background())
 	m := &SessionManager{
 		sessions:   make(map[string]*Session),
-		store:      store,
 		max:        max,
 		idle:       idle,
 		base:       base,
@@ -140,23 +134,23 @@ func NewSessionManager(max int, idle time.Duration, store *StreamStore) *Session
 	return m
 }
 
-// Create registers a new cursor over the shared stream for key, served by
-// backend on a stream-cache miss. No enumeration work happens here — the
-// first NextPage drives (or merely reads) the shared buffer. clientG is
-// the graph in the client's own labeling (nil defaults to the backend's
-// graph) and fromCanon, when non-nil, maps the backend's canonical labels
-// back to the client's — the per-cursor egress permutation of canonical
-// cache keying.
-func (m *SessionManager) Create(backend core.Backend, key SolverKey, clientG *graph.Graph, fromCanon []int) (*Session, error) {
+// Create registers a new cursor over the shared stream h, taking over the
+// handle: the session releases it when it ends, and at once if Create
+// fails. No enumeration work happens here — the first NextPage drives (or
+// merely reads) the shared buffer. clientG is the graph in the client's
+// own labeling (nil defaults to the stream backend's graph) and
+// fromCanon, when non-nil, maps the backend's canonical labels back to
+// the client's — the per-cursor egress permutation of canonical cache
+// keying.
+func (m *SessionManager) Create(h *StreamHandle, clientG *graph.Graph, fromCanon []int) (*Session, error) {
 	if clientG == nil {
-		clientG = backend.Graph()
+		clientG = h.Backend().Graph()
 	}
 	ctx, cancel := context.WithCancel(m.base)
 	s := &Session{
-		Key:       key,
 		g:         clientG,
 		fromCanon: fromCanon,
-		stream:    m.store.Acquire(key, backend),
+		stream:    h,
 		ctx:       ctx,
 		cancel:    cancel,
 		last:      time.Now(),

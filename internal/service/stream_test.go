@@ -38,6 +38,16 @@ func oracleLines(t *testing.T, solver *core.Solver) []string {
 	}
 }
 
+// acquire opens a stream over a ready backend: no solver build, and the
+// stream enumerates b on a miss.
+func acquire(st *StreamStore, key SolverKey, b core.Backend) *StreamHandle {
+	h, err := st.Acquire(context.Background(), key, nil, func(*core.Solver) core.Backend { return b })
+	if err != nil {
+		panic(err) // only a solver build can fail
+	}
+	return h
+}
+
 // TestStreamStoreSharing: two handles on one key share a buffer (hit),
 // different keys do not, and releasing a produced buffer keeps it cached
 // for the next consumer.
@@ -46,8 +56,8 @@ func TestStreamStoreSharing(t *testing.T) {
 	solver := core.NewSolver(gen.Cycle(6), cost.Width{})
 	key := SolverKey{Fingerprint: "c6", Cost: "width", Bound: -1}
 
-	h1 := store.Acquire(key, solver)
-	h2 := store.Acquire(key, solver)
+	h1 := acquire(store, key, solver)
+	h2 := acquire(store, key, solver)
 	if st := store.Stats(); st.Hits != 1 || st.Misses != 1 || st.Streams != 1 || st.Cursors != 2 {
 		t.Fatalf("bad stats after two acquires: %+v", st)
 	}
@@ -59,7 +69,7 @@ func TestStreamStoreSharing(t *testing.T) {
 	if r1 != r2 {
 		t.Fatal("handles on one key must share the materialized buffer")
 	}
-	other := store.Acquire(SolverKey{Fingerprint: "other"}, solver)
+	other := acquire(store, SolverKey{Fingerprint: "other"}, solver)
 	if st := store.Stats(); st.Misses != 2 || st.Streams != 2 {
 		t.Fatalf("distinct key should miss: %+v", st)
 	}
@@ -72,15 +82,15 @@ func TestStreamStoreSharing(t *testing.T) {
 	}
 	// A fresh consumer rides the cached buffer: no new production needed
 	// for rank 0.
-	h3 := store.Acquire(key, solver)
+	h3 := acquire(store, key, solver)
 	if h3.Buffered() < 1 {
 		t.Fatal("cached buffer lost its results")
 	}
 	h3.Release()
 	// The never-produced entry is dropped once unreferenced.
 	other.Release()
-	if store.Len() != 1 {
-		t.Fatalf("empty unreferenced stream should be dropped, have %d", store.Len())
+	if n := store.Stats().Streams; n != 1 {
+		t.Fatalf("empty unreferenced stream should be dropped, have %d", n)
 	}
 }
 
@@ -101,7 +111,7 @@ func TestStreamStoreEvictionAndRebuild(t *testing.T) {
 	perResult := solverA.TopK(1)[0].SizeEstimate()
 	store := NewStreamStore(int64(reads)*perResult*4/3, 0)
 
-	hA := store.Acquire(keyA, solverA)
+	hA := acquire(store, keyA, solverA)
 	var sigA []string
 	for i := 0; i < reads; i++ {
 		r, ok, err := hA.At(ctx, i)
@@ -112,7 +122,7 @@ func TestStreamStoreEvictionAndRebuild(t *testing.T) {
 	}
 
 	// Growing B past the budget must evict A (the LRU victim), not B.
-	hB := store.Acquire(keyB, solverB)
+	hB := acquire(store, keyB, solverB)
 	for i := 0; i < reads; i++ {
 		if _, ok, err := hB.At(ctx, i); !ok || err != nil {
 			t.Fatalf("B rank %d: ok=%v err=%v", i, ok, err)
@@ -155,7 +165,7 @@ func TestStreamStoreSelfTrimBounded(t *testing.T) {
 	perResult := solver.TopK(1)[0].SizeEstimate()
 	budget := 10 * perResult
 	store := NewStreamStore(budget, 0)
-	h := store.Acquire(SolverKey{Fingerprint: "c9"}, solver)
+	h := acquire(store, SolverKey{Fingerprint: "c9"}, solver)
 	defer h.Release()
 	for i := 0; i < 200; i++ {
 		if _, ok, err := h.At(ctx, i); !ok || err != nil {
@@ -185,8 +195,8 @@ func TestStreamStoreTrimRespectsSlowCursor(t *testing.T) {
 	solver := core.NewSolver(gen.Cycle(9), cost.FillIn{}) // 429 results
 	perResult := solver.TopK(1)[0].SizeEstimate()
 	store := NewStreamStore(10*perResult, 0)
-	slow := store.Acquire(SolverKey{Fingerprint: "c9"}, solver)
-	fast := store.Acquire(SolverKey{Fingerprint: "c9"}, solver)
+	slow := acquire(store, SolverKey{Fingerprint: "c9"}, solver)
+	fast := acquire(store, SolverKey{Fingerprint: "c9"}, solver)
 	defer slow.Release()
 	defer fast.Release()
 
@@ -225,20 +235,20 @@ func TestStreamStoreEntryCap(t *testing.T) {
 	store := NewStreamStore(0, 2)
 	for i := 0; i < 5; i++ {
 		solver := core.NewSolver(gen.Cycle(5), cost.Width{})
-		h := store.Acquire(SolverKey{Fingerprint: fmt.Sprintf("g%d", i)}, solver)
+		h := acquire(store, SolverKey{Fingerprint: fmt.Sprintf("g%d", i)}, solver)
 		if _, ok, err := h.At(ctx, 0); !ok || err != nil {
 			t.Fatalf("graph %d: ok=%v err=%v", i, ok, err)
 		}
 		h.Release()
 	}
-	if n := store.Len(); n > 2 {
+	if n := store.Stats().Streams; n > 2 {
 		t.Fatalf("entry cap 2 exceeded: %d entries", n)
 	}
 	// Referenced entries survive the cap even when it is exceeded.
 	var held []*StreamHandle
 	for i := 0; i < 4; i++ {
 		solver := core.NewSolver(gen.Cycle(5), cost.Width{})
-		h := store.Acquire(SolverKey{Fingerprint: fmt.Sprintf("h%d", i)}, solver)
+		h := acquire(store, SolverKey{Fingerprint: fmt.Sprintf("h%d", i)}, solver)
 		if _, ok, err := h.At(ctx, 0); !ok || err != nil {
 			t.Fatalf("held graph %d: ok=%v err=%v", i, ok, err)
 		}
@@ -258,15 +268,16 @@ func TestStreamStoreEntryCap(t *testing.T) {
 // TestSessionInfoBufferedAhead: results materialized by one cursor count
 // as buffered-ahead work for a colder cursor on the same key.
 func TestSessionInfoBufferedAhead(t *testing.T) {
-	m := NewSessionManager(4, time.Minute, nil)
+	m := NewSessionManager(4, time.Minute)
 	defer m.Close()
+	store := NewStreamStore(0, 0)
 	solver := core.NewSolver(gen.Cycle(7), cost.Width{})
 	key := SolverKey{Fingerprint: "c7"}
-	warm, err := m.Create(solver, key, nil, nil)
+	warm, err := m.Create(acquire(store, key, solver), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := m.Create(solver, key, nil, nil)
+	cold, err := m.Create(acquire(store, key, solver), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,9 +308,9 @@ func TestReplayAcrossPagesAndEviction(t *testing.T) {
 	solver := core.NewSolver(gen.Cycle(8), cost.FillIn{})
 	key := SolverKey{Fingerprint: "c8"}
 	store := NewStreamStore(0, 0)
-	m := NewSessionManager(4, time.Minute, store)
+	m := NewSessionManager(4, time.Minute)
 	defer m.Close()
-	sess, err := m.Create(solver, key, nil, nil)
+	sess, err := m.Create(acquire(store, key, solver), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,9 +356,9 @@ func TestReplayAcrossPagesAndEviction(t *testing.T) {
 	for i, r := range committed {
 		want[i] = sig(r)
 	}
-	for _, e := range store.entries {
-		e.stream.Reset()
-	}
+	store.mu.Lock()
+	store.forStreamsLocked(func(s *streamSlot) { s.stream.Reset() })
+	store.mu.Unlock()
 	start, results, _, ok, err = sess.Replay(ctx, 0, 20)
 	if !ok || err != nil || start != 0 || len(results) != 20 {
 		t.Fatalf("replay after eviction: ok=%v err=%v start=%d n=%d", ok, err, start, len(results))
@@ -549,7 +560,7 @@ func TestStreamStorePrefetchPausesOnLastRelease(t *testing.T) {
 	solver := core.NewSolver(gen.Cycle(9), cost.FillIn{}) // 429 results
 	key := SolverKey{Fingerprint: "c9"}
 
-	h := store.Acquire(key, solver)
+	h := acquire(store, key, solver)
 	if _, ok, err := h.At(ctx, 0); !ok || err != nil {
 		t.Fatalf("rank 0: ok=%v err=%v", ok, err)
 	}
@@ -577,7 +588,7 @@ func TestStreamStorePrefetchPausesOnLastRelease(t *testing.T) {
 
 	// The next consumer resumes speculation, and everything the producer
 	// built — before and after the park — matches a solo enumeration.
-	h2 := store.Acquire(key, solver)
+	h2 := acquire(store, key, solver)
 	defer h2.Release()
 	waitUntil(t, "re-acquire to resume the producer", func() bool {
 		return store.PrefetchStats().Resumes >= 1
@@ -647,13 +658,13 @@ func TestStreamStorePrefetchOracleUnderEviction(t *testing.T) {
 			go func(gi, c int) {
 				defer wg.Done()
 				ctx := context.Background()
-				h := store.Acquire(graphs[gi].key, solvers[gi])
+				h := acquire(store, graphs[gi].key, solvers[gi])
 				defer h.Release()
 				// Churn the refcount on one cursor per key so pause/resume
 				// transitions interleave with the eviction traffic.
 				if c == 0 {
 					h.Release()
-					h = store.Acquire(graphs[gi].key, solvers[gi])
+					h = acquire(store, graphs[gi].key, solvers[gi])
 					defer h.Release()
 				}
 				for i := 0; i < len(oracles[gi]); i++ {
@@ -777,7 +788,7 @@ func TestStreamStatsRebuildsMonotoneAcrossDrop(t *testing.T) {
 	solver := core.NewSolver(gen.Cycle(6), cost.Width{})
 	keyA := SolverKey{Fingerprint: "a"}
 
-	h := store.Acquire(keyA, solver)
+	h := acquire(store, keyA, solver)
 	for i := 0; i < 5; i++ {
 		if _, ok, err := h.At(ctx, i); !ok || err != nil {
 			t.Fatalf("rank %d: ok=%v err=%v", i, ok, err)
@@ -786,7 +797,7 @@ func TestStreamStatsRebuildsMonotoneAcrossDrop(t *testing.T) {
 	// Force a rebuild: reset the buffer behind the cursor's back (what a
 	// budget eviction does) and re-demand a committed rank.
 	store.mu.Lock()
-	store.entries[keyA].stream.Reset()
+	store.entries[SolverKey{Fingerprint: "a"}].streams[0].stream.Reset()
 	store.mu.Unlock()
 	if _, ok, err := h.At(ctx, 0); !ok || err != nil {
 		t.Fatalf("re-demand after reset: ok=%v err=%v", ok, err)
@@ -798,12 +809,15 @@ func TestStreamStatsRebuildsMonotoneAcrossDrop(t *testing.T) {
 	h.Release()
 
 	// Acquiring a second key over the cap drops A's (unreferenced) entry.
-	h2 := store.Acquire(SolverKey{Fingerprint: "b"}, core.NewSolver(gen.Cycle(5), cost.Width{}))
+	h2 := acquire(store, SolverKey{Fingerprint: "b"}, core.NewSolver(gen.Cycle(5), cost.Width{}))
 	defer h2.Release()
 	if _, ok, err := h2.At(ctx, 0); !ok || err != nil {
 		t.Fatalf("second stream: ok=%v err=%v", ok, err)
 	}
-	if store.Contains(keyA) {
+	store.mu.Lock()
+	_, held := store.entries[SolverKey{Fingerprint: "a"}]
+	store.mu.Unlock()
+	if held {
 		t.Fatal("entry cap did not drop the unreferenced entry; the test exercises nothing")
 	}
 	if after := store.Stats().Rebuilds; after < before {
@@ -825,13 +839,13 @@ func TestStreamStoreClosePostAcquireDemandDriven(t *testing.T) {
 
 	solver := core.NewSolver(gen.Cycle(8), cost.FillIn{})
 	key := SolverKey{Fingerprint: "post-close"}
-	h := store.Acquire(key, solver)
+	h := acquire(store, key, solver)
 	if _, ok, err := h.At(ctx, 0); !ok || err != nil {
 		t.Fatalf("post-Close read must stay demand-driven and work: ok=%v err=%v", ok, err)
 	}
 	// The refs 0→1 transition is the resume path; exercise it post-Close.
 	h.Release()
-	h2 := store.Acquire(key, solver)
+	h2 := acquire(store, key, solver)
 	defer h2.Release()
 	if _, ok, err := h2.At(ctx, 1); !ok || err != nil {
 		t.Fatalf("post-Close reacquire: ok=%v err=%v", ok, err)

@@ -476,9 +476,9 @@ func buildGraph(req *EnumerateRequest, maxVertices int) (*graph.Graph, *hyper.Hy
 
 // buildCost resolves the request's cost name to a cost.Cost plus the
 // canonical key fragment that, together with the graph fingerprint and
-// width bound, identifies the solver in the pool. Parameterized costs
-// (statespace domains, hypergraph edge sets) contribute their parameters
-// to the key, since they change the ranking.
+// width bound, identifies the cache entry holding the solver.
+// Parameterized costs (statespace domains, hypergraph edge sets)
+// contribute their parameters to the key, since they change the ranking.
 func buildCost(req *EnumerateRequest, g *graph.Graph, h *hyper.Hypergraph) (cost.Cost, string, error) {
 	name := req.Cost
 	if name == "" {

@@ -294,21 +294,19 @@ func HeuristicTriangulation(g *Graph) *Graph {
 	return triang.LBTriang(g, heur.Order(g, heur.MinFill))
 }
 
-// Service is the ranked-enumeration HTTP service: a SolverPool cache, a
-// SessionManager of resumable enumeration streams, and the HTTP/JSON API
-// (see repro/internal/service's package doc). cmd/rankedtriangd is the
-// daemon around it.
+// Service is the ranked-enumeration HTTP service: one cache holding, per
+// graph, the initialized solver and the ranked streams materialized over
+// it; a SessionManager of resumable cursors over those streams; and the
+// HTTP/JSON API (see repro/internal/service's package doc).
+// cmd/rankedtriangd is the daemon around it.
 type Service = service.Server
 
 // ServiceConfig tunes a Service (cache size, session limits, admission
 // concurrency, idle eviction).
 type ServiceConfig = service.Config
 
-// SolverPool deduplicates and LRU-caches solver initializations keyed by
-// canonical graph fingerprint, cost and width bound.
-type SolverPool = service.SolverPool
-
-// SolverKey identifies one cached solver in a SolverPool.
+// SolverKey identifies one ranked stream in a Service's cache: canonical
+// graph fingerprint, cost, width bound, backend and orbit mode.
 type SolverKey = service.SolverKey
 
 // SessionManager parks live enumeration streams behind opaque resume
@@ -317,9 +315,6 @@ type SessionManager = service.SessionManager
 
 // NewService returns a ready-to-serve ranked-enumeration HTTP handler.
 func NewService(cfg ServiceConfig) *Service { return service.New(cfg) }
-
-// NewSolverPool returns a pool caching up to capacity initialized solvers.
-func NewSolverPool(capacity int) *SolverPool { return service.NewSolverPool(capacity) }
 
 // Fingerprint returns the canonical hash of the labeled graph — the cache
 // key the service layer uses to deduplicate solver initializations.
